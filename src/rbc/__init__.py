@@ -11,7 +11,6 @@ from .diagram import (
     compose_par,
     compose_seq,
     dependency_closure,
-    dependency_edges,
     equivalent,
     identity,
     layers,

@@ -3,6 +3,13 @@
 Exit codes: 0 success, 2 parse or validation problem, 3 verification
 failure, 4 step limit hit, 5 state limit hit.  The RBC_MAX_WIDTH
 environment variable overrides the truth-table width cap.
+
+Every problem with the input ends in exit 2 and one ``error:`` line on
+standard error, never a traceback: a file that cannot be read (missing,
+a directory, no permission), a file that is not UTF-8 text (reported
+with the line of the first bad byte), a malformed circuit or rule file,
+an RBC_MAX_WIDTH that is not an integer, and a negative --max-steps or
+--max-states.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from pathlib import Path
 
 from .diagram import Diagram, sort_key
 from .errors import (
+    ParseError,
     RbcError,
     StateLimitExceeded,
     StepLimitExceeded,
@@ -43,21 +51,47 @@ def _fail(message: str) -> int:
     return EXIT_PARSE
 
 
+class InputError(RbcError):
+    """An input file that cannot be read, or an option or environment
+    setting out of range."""
+
+
+def _read(path: str) -> str:
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(line, f"not UTF-8 text (byte 0x{data[e.start]:02x})") from None
+
+
 def _load_circuit(path: str) -> Diagram:
-    return parse_circuit(Path(path).read_text())
+    return parse_circuit(_read(path))
 
 
 def _load_rules(path: str | None) -> tuple[Rule, ...]:
     if path is None:
         return builtin_rules()
-    return parse_rules(Path(path).read_text())
+    return parse_rules(_read(path))
 
 
 def _width_cap() -> int | None:
     raw = os.environ.get("RBC_MAX_WIDTH")
     if raw is None:
         return None
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f'RBC_MAX_WIDTH "{raw}" is not an integer') from None
+
+
+def _limit(option: str, value: int | None) -> int | None:
+    if value is not None and value < 0:
+        raise InputError(f"{option} must not be negative, got {value}")
+    return value
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -97,10 +131,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
+    max_steps = _limit("--max-steps", args.max_steps)
     d = _load_circuit(args.file)
     rules = _load_rules(args.rules)
     try:
-        nf, trace = normalize(d, rules, max_steps=args.max_steps)
+        nf, trace = normalize(d, rules, max_steps=max_steps)
     except StepLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STEP_LIMIT
@@ -119,10 +154,11 @@ def cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def cmd_nfs(args: argparse.Namespace) -> int:
+    max_states = _limit("--max-states", args.max_states)
     d = _load_circuit(args.file)
     rules = _load_rules(args.rules)
     try:
-        forms = all_normal_forms(d, max_states=args.max_states, rules=rules)
+        forms = all_normal_forms(d, max_states=max_states, rules=rules)
     except StateLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_STATE_LIMIT
@@ -193,8 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        return _fail(f"cannot read {e.filename}")
     except RbcError as e:
         return _fail(str(e))
 

@@ -6,15 +6,25 @@ circuit when one can be turned into the other by repeatedly swapping
 adjacent gates whose windows are disjoint; ``canonicalize`` picks a
 unique representative of that class (greedy earliest-layer form) and
 ``equivalent`` decides the relation.
+
+The before/after order between gates is carried by the wires: a gate
+must run after the previous gate on each of its wires, and nothing else
+constrains it.  Closure, ancestors, the links between consecutive gates
+on a wire, and layering are each one pass over the gate list that keeps
+one entry per wire, so they are linear in the number of gates (times
+the cost of an OR on bitmasks one bit per gate).  They expect a valid
+diagram, every gate inside ``width`` wires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 from .errors import OutOfRangeError, WidthMismatchError
+
+_ARITY = {"swap": 2, "not": 1, "t2": 2, "t3": 3}
 
 
 class GateKind(Enum):
@@ -23,12 +33,10 @@ class GateKind(Enum):
     T2 = "t2"
     T3 = "t3"
 
-    @property
-    def arity(self) -> int:
-        return _ARITY[self]
+    def __init__(self, token: str) -> None:
+        # A plain attribute: hot loops read it without hashing the member.
+        self.arity = _ARITY[token]
 
-
-_ARITY = {GateKind.SWAP: 2, GateKind.NOT: 1, GateKind.T2: 2, GateKind.T3: 3}
 
 # Stable ordering used when sorting gates and diagrams deterministically.
 KIND_ORDER = {kind: i for i, kind in enumerate(GateKind)}
@@ -104,17 +112,6 @@ class Diagram:
                     f"{g.offset}..{g.offset + g.arity - 1} outside width {self.width}",
                 )
 
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except OutOfRangeError:
-            return False
-        return True
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.gates
-
     def __rshift__(self, other: "Diagram") -> "Diagram":
         return compose_seq(self, other)
 
@@ -145,25 +142,28 @@ def compose_par(d1: Diagram, d2: Diagram) -> Diagram:
 # sorted by offset.
 Layer = tuple[Gate, ...]
 
+_offset = attrgetter("offset")
+
 
 def layers(d: Diagram) -> tuple[Layer, ...]:
     """Greedy earliest-layer decomposition of the gate list.
 
     Each gate lands in the first layer after every earlier gate whose
     window overlaps its own, so gates within one layer never overlap.
+    Per wire, that is one past the last layer used on any of its wires.
     """
-    level: list[int] = []
-    for i, g in enumerate(d.gates):
-        depth = -1
-        for j in range(i):
-            if level[j] > depth and gates_overlap(d.gates[j], g):
-                depth = level[j]
-        level.append(depth + 1)
-    n_layers = max(level, default=-1) + 1
-    buckets: list[list[Gate]] = [[] for _ in range(n_layers)]
-    for g, lv in zip(d.gates, level):
-        buckets[lv].append(g)
-    return tuple(tuple(sorted(b, key=lambda g: g.offset)) for b in buckets)
+    depth = [0] * d.width  # layers used so far on each wire
+    buckets: list[list[Gate]] = []
+    for g in d.gates:
+        lo = g.offset
+        hi = lo + g.kind.arity
+        level = max(depth[lo:hi])
+        depth[lo:hi] = (level + 1,) * (hi - lo)
+        if level == len(buckets):
+            buckets.append([g])
+        else:
+            buckets[level].append(g)
+    return tuple(tuple(sorted(b, key=_offset)) for b in buckets)
 
 
 def canonicalize(d: Diagram) -> Diagram:
@@ -179,50 +179,56 @@ def equivalent(d1: Diagram, d2: Diagram) -> bool:
     return canonicalize(d1).gates == canonicalize(d2).gates
 
 
-def dependency_edges(d: Diagram) -> tuple[tuple[int, int], ...]:
-    """Immediate before/after constraints between gate indices.
-
-    There is an edge i -> j when gate i precedes gate j in the list,
-    their windows overlap, and no gate between them overlaps both
-    (such an intermediate would already force the ordering).
-    Reachability along edges is exactly "i runs before j in every
-    reordering of the list".
-    """
-    gs = d.gates
-    edges = []
-    for j in range(len(gs)):
-        for i in range(j):
-            if not gates_overlap(gs[i], gs[j]):
-                continue
-            separated = any(
-                gates_overlap(gs[i], gs[k]) and gates_overlap(gs[k], gs[j])
-                for k in range(i + 1, j)
-            )
-            if not separated:
-                edges.append((i, j))
-    return tuple(edges)
-
-
 def dependency_closure(d: Diagram) -> tuple[int, ...]:
-    """Per gate index i, a bitmask of all indices that must run after i."""
-    gs = d.gates
-    n = len(gs)
-    reach = [0] * n
+    """Per gate index i, a bitmask of all indices that must run after i.
+
+    One backward pass: the gates after i are the next gate on each of
+    its wires, plus everything after those.
+    """
+    gates = d.gates
+    n = len(gates)
+    after = [0] * n
+    first = [-1] * d.width  # earliest gate seen so far on each wire
     for i in range(n - 1, -1, -1):
+        g = gates[i]
+        lo = g.offset
         acc = 0
-        for j in range(i + 1, n):
-            if gates_overlap(gs[i], gs[j]):
-                acc |= (1 << j) | reach[j]
-        reach[i] = acc
-    return tuple(reach)
+        for w in range(lo, lo + g.kind.arity):
+            j = first[w]
+            if j >= 0:
+                acc |= (1 << j) | after[j]
+            first[w] = i
+        after[i] = acc
+    return tuple(after)
+
+
+def wire_links(d: Diagram) -> tuple[list[int], list[int]]:
+    """The per-wire links and the ancestor masks, in one forward pass.
+
+    Returns ``(succ, before)``.  ``succ[3 * i + r]`` is the next gate
+    after gate i on wire ``offset + r`` of gate i, or -1 when there is
+    none (or gate i has fewer than r + 1 wires).  ``before[i]`` is the
+    bitmask of all indices that must run before i, the mirror of
+    ``dependency_closure``.
+    """
+    gates = d.gates
+    succ = [-1] * (3 * len(gates))
+    before = [0] * len(gates)
+    last = [-1] * d.width  # link slot of the latest gate on each wire
+    for j, g in enumerate(gates):
+        lo = g.offset
+        acc = 0
+        for w in range(lo, lo + g.kind.arity):
+            slot = last[w]
+            if slot >= 0:
+                succ[slot] = j
+                i = slot // 3
+                acc |= (1 << i) | before[i]
+            last[w] = 3 * j + w - lo
+        before[j] = acc
+    return succ, before
 
 
 def sort_key(d: Diagram) -> tuple:
     """Deterministic ordering key for sets of diagrams."""
     return (d.width, len(d.gates), tuple(g.sort_key() for g in d.gates))
-
-
-def from_gates(width: int, gates: Iterable[Gate] | Sequence[Gate]) -> Diagram:
-    d = Diagram(width, tuple(gates))
-    d.validate()
-    return d

@@ -4,7 +4,7 @@ Circuit files: a ``wires <n>`` header, then one gate per line
 (``swap k``, ``not k``, ``t2 k``, ``t3 k``).  Blank lines and ``#``
 comments are ignored.
 
-Rule files hold a sequence of blocks::
+Rule files hold a sequence of blocks, each with a name of its own::
 
     rule <name>
     wires <n>
@@ -86,6 +86,7 @@ def format_circuit(d: Diagram) -> str:
 
 def parse_rules(text: str) -> tuple[Rule, ...]:
     rules: list[Rule] = []
+    first_seen: dict[str, int] = {}  # rule name -> line of its "rule" line
     name = None
     width = None
     side = "lhs"
@@ -115,6 +116,10 @@ def parse_rules(text: str) -> tuple[Rule, ...]:
             finish(lineno)
             if len(parts) != 2:
                 raise ParseError(lineno, f'expected "rule <name>", got "{line}"')
+            if parts[1] in first_seen:
+                raise ParseError(lineno, f'rule "{parts[1]}" is already defined '
+                                         f"at line {first_seen[parts[1]]}")
+            first_seen[parts[1]] = lineno
             name, width, side = parts[1], None, "lhs"
             lhs, rhs = [], []
             start_line = lineno

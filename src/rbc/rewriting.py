@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .diagram import (
     Diagram,
     Gate,
+    GateKind,
     canonicalize,
     dependency_closure,
     gates_overlap,
@@ -26,6 +27,7 @@ from .diagram import (
     swap,
     t2,
     t3,
+    wire_links,
 )
 from .errors import (
     InvalidRuleError,
@@ -38,6 +40,12 @@ from .errors import (
 from .measure import measure
 from .moves import Ordering, map_compare, total_rank
 from .semantics import truth_table
+
+
+# One pattern slot for the matcher: the gate's kind and window offset,
+# then the latest earlier slot sharing a wire with it and which of that
+# slot's wires it is (-1, -1 for none).
+_Slot = tuple[GateKind, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,32 @@ class Rule:
     @property
     def width(self) -> int:
         return self.lhs.width
+
+    @functools.cached_property
+    def _plans(self) -> tuple[tuple[_Slot, ...], ...]:
+        """Each pattern order, with each slot linked to the latest earlier
+        slot on one of its wires.
+
+        In a convex match, the host gate of a linked slot is the next host
+        gate on that wire after the linked slot's host gate: any gate in
+        between would be pinned between two matched gates.  Kept on the
+        rule: looking plans up by pattern would hash the pattern on every
+        ``find_matches`` call.
+        """
+        plans = []
+        for order in _pattern_orders(self.lhs):
+            slots: list[_Slot] = []
+            for s, g in enumerate(order):
+                link = wire = -1
+                for t in range(s - 1, -1, -1):
+                    if gates_overlap(order[t], g):
+                        link = t
+                        wire = max(order[t].offset, g.offset) - order[t].offset
+                        break
+                slots.append((g.kind, g.offset, link, wire))
+            if slots:
+                plans.append(tuple(slots))
+        return tuple(plans)
 
 
 def validate_rule(rule: Rule) -> None:
@@ -179,19 +213,35 @@ def _pattern_orders(lhs: Diagram) -> tuple[tuple[Gate, ...], ...]:
     return tuple(sorted(out, key=lambda t: [g.sort_key() for g in t]))
 
 
-def _is_convex(reach: tuple[int, ...], smask: int, count: int) -> bool:
-    desc = 0
-    t = smask
-    while t:
-        low = t & -t
-        desc |= reach[low.bit_length() - 1]
-        t ^= low
-    for u in range(count):
-        if smask >> u & 1:
-            continue
-        if desc >> u & 1 and reach[u] & smask:
-            return False
-    return True
+def _extend(host, plan, k, chosen, smask, desc, anc, found, ri) -> None:
+    """Fill the slots of plan after the host gates in chosen, appending
+    each convex completion to found; desc and anc are the descendants
+    and ancestors of smask, the mask of chosen."""
+    gates, after, before, succ, by_kind = host
+    for slot in range(len(chosen), len(plan)):
+        kind, offset, link, wire = plan[slot]
+        if link < 0:
+            for c in by_kind[kind]:
+                if c > chosen[-1] and gates[c].offset == offset + k:
+                    d2, a2, s2 = desc | after[c], anc | before[c], smask | 1 << c
+                    if not d2 & a2 & ~s2:
+                        _extend(host, plan, k, chosen + (c,), s2, d2, a2, found, ri)
+            return
+        c = succ[3 * chosen[link] + wire]
+        if c <= chosen[-1]:
+            return
+        g = gates[c]
+        if g.kind is not kind or g.offset != offset + k:
+            return
+        desc |= after[c]
+        anc |= before[c]
+        smask |= 1 << c
+        # A pinned gate lies below the last chosen index, so no later
+        # slot can take it in.
+        if desc & anc & ~smask:
+            return
+        chosen += (c,)
+    found.append((chosen[0], k, ri, chosen))
 
 
 def find_matches(d: Diagram, rules: tuple[Rule, ...] | None = None) -> list[Match]:
@@ -200,63 +250,47 @@ def find_matches(d: Diagram, rules: tuple[Rule, ...] | None = None) -> list[Matc
     if rules is None:
         rules = builtin_rules()
     gates = d.gates
-    n = len(gates)
-    reach = dependency_closure(d)
-    by_key: dict[tuple, list[int]] = {}
-    for i, g in enumerate(gates):
-        by_key.setdefault((g.kind, g.offset), []).append(i)
+    width = d.width
+    after = dependency_closure(d)
+    succ, before = wire_links(d)
+    by_kind = {kind: [i for i, g in enumerate(gates) if g.kind is kind]
+               for kind in GateKind}
+    host = (gates, after, before, succ, by_kind)
+    # (first index, window offset, rule index, indices): sorting these
+    # gives the documented order.
+    found: list[tuple[int, int, int, tuple[int, ...]]] = []
 
-    found: dict[tuple, Match] = {}
     for ri, rule in enumerate(rules):
         rw = rule.width
-        if rw > d.width:
+        if rw > width:
             continue
-        for order in _pattern_orders(rule.lhs):
-            if not order:
-                continue
-            first = order[0]
-            for i0 in range(n):
-                g0 = gates[i0]
-                if g0.kind is not first.kind:
+        for plan in rule._plans:
+            kind0, offset0 = plan[0][0], plan[0][1]
+            # Most starts fail at the second slot when it is linked to
+            # the first; test that here, before paying for a call.
+            kind1, offset1, link1, wire1 = plan[1] if len(plan) > 1 else (None, 0, -1, 0)
+            for i0 in by_kind[kind0]:
+                k = gates[i0].offset - offset0
+                if k < 0 or k + rw > width:
                     continue
-                k = g0.offset - first.offset
-                if k < 0 or k + rw > d.width:
-                    continue
+                if link1 == 0:
+                    c = succ[3 * i0 + wire1]
+                    if c < 0:
+                        continue
+                    g = gates[c]
+                    if g.kind is not kind1 or g.offset != offset1 + k:
+                        continue
+                _extend(host, plan, k, (i0,), 1 << i0, after[i0], before[i0],
+                        found, ri)
 
-                chosen = [i0]
-
-                def rec(slot: int) -> None:
-                    if slot == len(order):
-                        smask = 0
-                        for i in chosen:
-                            smask |= 1 << i
-                        if _is_convex(reach, smask, n):
-                            key = (ri, k, tuple(chosen))
-                            if key not in found:
-                                found[key] = Match(rule, k, tuple(chosen))
-                        return
-                    want = (order[slot].kind, order[slot].offset + k)
-                    for i in by_key.get(want, ()):
-                        if i > chosen[-1]:
-                            chosen.append(i)
-                            rec(slot + 1)
-                            chosen.pop()
-
-                rec(1)
-
-    ms = list(found.values())
-    ms.sort(key=lambda m: (m.indices[0], m.offset, _rule_pos(rules, m.rule), m.indices))
-    return ms
+    found.sort()
+    return [Match(rules[ri], k, idx) for _, k, ri, idx in found]
 
 
-def _rule_pos(rules: tuple[Rule, ...], rule: Rule) -> int:
-    for i, r in enumerate(rules):
-        if r is rule:
-            return i
-    return len(rules)
-
-
-def _validate_match(d: Diagram, m: Match) -> tuple[int, ...]:
+def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
+    """Check m against d, recomputing the dependency order itself.
+    Returns the mask of the matched gates and the mask of the gates that
+    must run before some matched gate."""
     gates = d.gates
     n = len(gates)
     idx = m.indices
@@ -270,13 +304,16 @@ def _validate_match(d: Diagram, m: Match) -> tuple[int, ...]:
     picked = tuple(Gate(gates[i].kind, gates[i].offset - m.offset) for i in idx)
     if picked not in _pattern_orders(m.rule.lhs):
         raise StaleMatchError("selected gates no longer spell the pattern")
-    reach = dependency_closure(d)
-    smask = 0
+    after = dependency_closure(d)
+    _, before = wire_links(d)
+    smask = desc = anc = 0
     for i in idx:
         smask |= 1 << i
-    if not _is_convex(reach, smask, n):
+        desc |= after[i]
+        anc |= before[i]
+    if desc & anc & ~smask:
         raise StaleMatchError("an unmatched gate is pinned between matched gates")
-    return reach
+    return smask, anc
 
 
 def apply_match(d: Diagram, m: Match) -> Diagram:
@@ -286,21 +323,18 @@ def apply_match(d: Diagram, m: Match) -> Diagram:
     front of the replacement; everything else follows it.  The result
     is canonicalized.
     """
-    reach = _validate_match(d, m)
-    smask = 0
-    for i in m.indices:
-        smask |= 1 << i
-    before: list[Gate] = []
-    after: list[Gate] = []
+    smask, anc = _validate_match(d, m)
+    front: list[Gate] = []
+    back: list[Gate] = []
     for i, g in enumerate(d.gates):
         if smask >> i & 1:
             continue
-        if reach[i] & smask:
-            before.append(g)
+        if anc >> i & 1:
+            front.append(g)
         else:
-            after.append(g)
+            back.append(g)
     middle = [g.shifted(m.offset) for g in m.rule.rhs.gates]
-    return canonicalize(Diagram(d.width, tuple(before + middle + after)))
+    return canonicalize(Diagram(d.width, tuple(front + middle + back)))
 
 
 @dataclass(frozen=True)

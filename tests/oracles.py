@@ -3,14 +3,17 @@
 These deliberately avoid the algorithms under test: reorderings are
 enumerated by explicit adjacent transpositions, routing is tracked by
 simulating swaps, and map comparison is evaluated pointwise on a finite
-word sample.
+word sample.  The dependency order is rebuilt by pairwise overlap scans
+(quadratic in the gate count), independent of the per-wire links, and
+the matcher and normalizer built on those scans serve as exact oracles
+on circuits too large for the all-reorderings search.
 """
 
 from __future__ import annotations
 
-from rbc.diagram import Diagram, Gate, GateKind, commute
+from rbc.diagram import Diagram, Gate, GateKind, commute, gates_overlap
 from rbc.moves import MoveMap, map_apply, word_le, word_key
-from rbc.rewriting import Rule
+from rbc.rewriting import Rule, _pattern_orders
 
 
 def all_index_orders(d: Diagram) -> set[tuple[int, ...]]:
@@ -108,3 +111,146 @@ def oracle_map_less(f: MoveMap, g: MoveMap, sample_len: int = 2) -> bool:
         if not any(word_key(a) < word_key(b) for a, b in zip(fx, gx)):
             return False
     return True
+
+
+def oracle_dependency_closure(d: Diagram) -> tuple[int, ...]:
+    """Per gate index i, a bitmask of all indices that must run after i,
+    by scanning every later gate for overlap."""
+    gs = d.gates
+    n = len(gs)
+    reach = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = 0
+        for j in range(i + 1, n):
+            if gates_overlap(gs[i], gs[j]):
+                acc |= (1 << j) | reach[j]
+        reach[i] = acc
+    return tuple(reach)
+
+
+def dependency_edges(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """Immediate before/after constraints between gate indices.
+
+    There is an edge i -> j when gate i precedes gate j in the list,
+    their windows overlap, and no gate between them overlaps both
+    (such an intermediate would already force the ordering).
+    Reachability along edges is exactly "i runs before j in every
+    reordering of the list".
+    """
+    gs = d.gates
+    edges = []
+    for j in range(len(gs)):
+        for i in range(j):
+            if not gates_overlap(gs[i], gs[j]):
+                continue
+            separated = any(
+                gates_overlap(gs[i], gs[k]) and gates_overlap(gs[k], gs[j])
+                for k in range(i + 1, j)
+            )
+            if not separated:
+                edges.append((i, j))
+    return tuple(edges)
+
+
+def oracle_layers(d: Diagram) -> tuple[tuple[Gate, ...], ...]:
+    """Greedy earliest-layer decomposition, each gate compared with every
+    earlier gate."""
+    level: list[int] = []
+    for i, g in enumerate(d.gates):
+        depth = -1
+        for j in range(i):
+            if level[j] > depth and gates_overlap(d.gates[j], g):
+                depth = level[j]
+        level.append(depth + 1)
+    n_layers = max(level, default=-1) + 1
+    buckets: list[list[Gate]] = [[] for _ in range(n_layers)]
+    for g, lv in zip(d.gates, level):
+        buckets[lv].append(g)
+    return tuple(tuple(sorted(b, key=lambda g: g.offset)) for b in buckets)
+
+
+def oracle_canonicalize(d: Diagram) -> Diagram:
+    return Diagram(d.width, tuple(g for layer in oracle_layers(d) for g in layer))
+
+
+def oracle_is_convex(reach: tuple[int, ...], smask: int, count: int) -> bool:
+    """No gate outside smask runs after one gate of smask and before
+    another, checked gate by gate."""
+    desc = 0
+    t = smask
+    while t:
+        low = t & -t
+        desc |= reach[low.bit_length() - 1]
+        t ^= low
+    for u in range(count):
+        if smask >> u & 1:
+            continue
+        if desc >> u & 1 and reach[u] & smask:
+            return False
+    return True
+
+
+def oracle_find_matches(d: Diagram, rules) -> list[tuple[str, int, tuple[int, ...]]]:
+    """Every ascending choice of host gates spelling a pattern order,
+    kept when convex, as (rule name, offset, indices) in the documented
+    order: first matched gate, offset, rule position, indices."""
+    gates = d.gates
+    n = len(gates)
+    reach = oracle_dependency_closure(d)
+    found = set()
+    for ri, rule in enumerate(rules):
+        rw = rule.width
+        if rw > d.width:
+            continue
+        for order in _pattern_orders(rule.lhs):
+            if not order:
+                continue
+            for k in range(d.width - rw + 1):
+                want = [(g.kind, g.offset + k) for g in order]
+                chosen: list[int] = []
+
+                def rec(slot: int) -> None:
+                    if slot == len(want):
+                        smask = sum(1 << i for i in chosen)
+                        if oracle_is_convex(reach, smask, n):
+                            found.add((chosen[0], k, ri, tuple(chosen)))
+                        return
+                    start = chosen[-1] + 1 if chosen else 0
+                    for i in range(start, n):
+                        if (gates[i].kind, gates[i].offset) == want[slot]:
+                            chosen.append(i)
+                            rec(slot + 1)
+                            chosen.pop()
+
+                rec(0)
+    return [(rules[ri].name, k, idx) for _, k, ri, idx in sorted(found)]
+
+
+def oracle_apply(d: Diagram, rule: Rule, offset: int,
+                 indices: tuple[int, ...]) -> Diagram:
+    """Matched gates replaced: unmatched gates that must precede a matched
+    one go in front, the rest behind, then the oracle canonical form."""
+    reach = oracle_dependency_closure(d)
+    smask = sum(1 << i for i in indices)
+    front, back = [], []
+    for i, g in enumerate(d.gates):
+        if smask >> i & 1:
+            continue
+        (front if reach[i] & smask else back).append(g)
+    middle = [g.shifted(offset) for g in rule.rhs.gates]
+    return oracle_canonicalize(Diagram(d.width, tuple(front + middle + back)))
+
+
+def oracle_normalize(d: Diagram, rules) -> tuple[Diagram, list[tuple]]:
+    """First-match reduction on the oracle matcher: the normal form and
+    one (rule name, offset, indices, result) entry per step."""
+    by_name = {r.name: r for r in rules}
+    current = oracle_canonicalize(d)
+    steps = []
+    while True:
+        ms = oracle_find_matches(current, rules)
+        if not ms:
+            return current, steps
+        name, k, idx = ms[0]
+        current = oracle_apply(current, by_name[name], k, idx)
+        steps.append((name, k, idx, current))

@@ -29,10 +29,10 @@ GOLDEN = Path(__file__).parent / "golden"
 def criterion(num: int, name: str, budget_s: float):
     def deco(fn):
         @functools.wraps(fn)
-        def wrapper():
+        def wrapper(*args, **kwargs):
             t0 = time.perf_counter()
             try:
-                fn()
+                fn(*args, **kwargs)
             except BaseException:
                 print(f"[criterion {num}] {name}: FAIL")
                 raise
@@ -84,7 +84,7 @@ def test_criterion_2_ladder_reduction():
 
 
 @criterion(3, "two distinct normal forms, one boolean function", budget_s=1.0)
-def test_criterion_3_non_confluence():
+def test_criterion_3_non_confluence(tmp_path):
     start = Diagram(3, (swap(0), swap(1), swap(0), t2(1)))
     forms = all_normal_forms(start)
     assert len(forms) >= 2
@@ -96,12 +96,9 @@ def test_criterion_3_non_confluence():
     # exact reachable set, pinned the first time the search was run
     assert len(forms) == 2
     src = GOLDEN / "two_normal_forms.nfs.txt"
-    circuit = GOLDEN / "two_normal_forms.rbc"
+    circuit = tmp_path / "two_normal_forms.rbc"
     circuit.write_text("wires 3\nswap 0\nswap 1\nswap 0\nt2 1\n")
-    try:
-        code, out = _cli("nfs", str(circuit))
-    finally:
-        circuit.unlink()
+    code, out = _cli("nfs", str(circuit))
     assert code == 0
     assert out == src.read_text()
 

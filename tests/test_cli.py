@@ -230,3 +230,55 @@ def test_stdout_is_deterministic(run):
     a = run("normalize", "f.rbc", "--trace", "--verify", files={"f.rbc": LADDER_T3})
     b = run("normalize", "f.rbc", "--trace", "--verify", files={"f.rbc": LADDER_T3})
     assert a == b
+
+
+def test_width_cap_not_an_integer(run, monkeypatch):
+    monkeypatch.setenv("RBC_MAX_WIDTH", "abc")
+    code, out, err = run("truth", "n.rbc", files={"n.rbc": "wires 1\nnot 0\n"})
+    assert code == 2
+    assert out == ""
+    assert err == 'error: RBC_MAX_WIDTH "abc" is not an integer\n'
+
+
+def test_check_directory(run, tmp_path):
+    code, out, err = run("check", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path}:")
+    assert err.count("\n") == 1
+
+
+def test_circuit_not_utf8(run, tmp_path):
+    path = tmp_path / "latin1.rbc"
+    path.write_bytes(b"wires 2\n# caf\xe9\nswap 0\n")
+    code, out, err = run("check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: not UTF-8 text (byte 0xe9)\n"
+
+
+def test_rules_not_utf8(run, tmp_path):
+    path = tmp_path / "r.rules"
+    path.write_bytes(b"rule \xff\nwires 1\nnot 0\nnot 0\n=>\n")
+    code, _, err = run("normalize", "c.rbc", "--rules", str(path),
+                       files={"c.rbc": TWO_NF})
+    assert code == 2
+    assert err == "error: line 1: not UTF-8 text (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("command, option", [("normalize", "--max-steps"),
+                                             ("nfs", "--max-states")])
+def test_negative_limits_rejected(run, command, option):
+    code, out, err = run(command, "c.rbc", option, "-1", files={"c.rbc": TWO_NF})
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {option} must not be negative, got -1\n"
+
+
+def test_duplicate_rule_names_rejected(run):
+    catalog = ("rule drop\nwires 1\nnot 0\nnot 0\n=>\n"
+               "rule drop\nwires 2\nswap 0\nswap 0\n=>\n")
+    code, out, err = run("verify-rules", "--rules", "r.rules", files={"r.rules": catalog})
+    assert code == 2
+    assert out == ""
+    assert err == 'error: line 6: rule "drop" is already defined at line 1\n'

@@ -1,0 +1,130 @@
+"""The per-wire dependency structure against the quadratic oracles.
+
+Seeded circuits here are far too large for the all-reorderings oracle
+(w16 with 120 gates, w24 with 200 gates), so the fast closure, layering,
+matcher and normalizer are compared for exact equality with the
+pairwise-overlap implementations in ``oracles.py``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rbc.diagram import (
+    Diagram,
+    Gate,
+    GateKind,
+    dependency_closure,
+    layers,
+    not_,
+    swap,
+    t2,
+    t3,
+    wire_links,
+)
+from rbc.rewriting import Rule, builtin_rules, find_matches, normalize
+from rbc.sampling import random_diagram
+
+from .oracles import (
+    oracle_dependency_closure,
+    oracle_find_matches,
+    oracle_layers,
+    oracle_matches,
+    oracle_normalize,
+)
+from .strategies import diagrams
+
+SIZES = [(16, 120), (24, 200)]
+
+# Patterns whose slots do not all share a wire with an earlier slot, so
+# the matcher has to search instead of following links.  Only matching
+# is exercised; these are not valid rewrite rules.
+LOOSE_RULES = (
+    Rule("two_nots", Diagram(3, (not_(0), not_(2))), Diagram(3, ())),
+    Rule("bridge", Diagram(3, (swap(0), not_(2), swap(0))), Diagram(3, ())),
+    Rule("fan", Diagram(3, (t2(1), not_(0), swap(0))), Diagram(3, ())),
+    Rule("wide", Diagram(4, (t3(0), not_(3), swap(2))), Diagram(4, ())),
+)
+
+
+def _large(seed: int, per_size: int) -> list[Diagram]:
+    """per_size circuits of exactly each of SIZES."""
+    out = []
+    for width, count in SIZES:
+        rng = random.Random(f"{seed}:{width}")
+        for _ in range(per_size):
+            kinds = [rng.choice(list(GateKind)) for _ in range(count)]
+            gates = tuple(Gate(k, rng.randint(0, width - k.arity)) for k in kinds)
+            out.append(Diagram(width, gates))
+    return out
+
+
+def _match_tuples(d, rules):
+    return [(m.rule_name, m.offset, m.indices) for m in find_matches(d, rules)]
+
+
+@pytest.mark.parametrize("d", _large(2001, 4), ids=lambda d: f"w{d.width}")
+def test_closure_and_layers_equal_oracles_on_large_circuits(d):
+    after = dependency_closure(d)
+    assert after == oracle_dependency_closure(d)
+    assert layers(d) == oracle_layers(d)
+    succ, before = wire_links(d)
+    n = len(d.gates)
+    for j in range(n):
+        assert before[j] == sum(1 << i for i in range(n) if after[i] >> j & 1)
+    for i, g in enumerate(d.gates):
+        for r in range(3):
+            w = g.offset + r
+            later = [j for j in range(i + 1, n) if w in d.gates[j].support]
+            want = later[0] if later and r < g.arity else -1
+            assert succ[3 * i + r] == want
+
+
+@pytest.mark.parametrize("d", _large(2002, 3), ids=lambda d: f"w{d.width}")
+def test_find_matches_equal_oracle_on_large_circuits(d):
+    rules = builtin_rules()
+    assert _match_tuples(d, rules) == oracle_find_matches(d, rules)
+    assert _match_tuples(d, LOOSE_RULES) == oracle_find_matches(d, LOOSE_RULES)
+
+
+@pytest.mark.parametrize("d", _large(2003, 1), ids=lambda d: f"w{d.width}")
+def test_normalize_trace_equals_oracle_on_large_circuits(d):
+    nf, trace = normalize(d)
+    want_nf, want_steps = oracle_normalize(d, builtin_rules())
+    got = [(s.rule_name, s.match.offset, s.match.indices, s.after) for s in trace.steps]
+    assert got == want_steps
+    assert nf == want_nf
+
+
+def test_small_circuits_equal_oracles():
+    rules = builtin_rules()
+    rng = random.Random(2004)
+    for _ in range(200):
+        d = random_diagram(rng, max_width=6, max_gates=25)
+        assert dependency_closure(d) == oracle_dependency_closure(d)
+        assert layers(d) == oracle_layers(d)
+        assert _match_tuples(d, rules) == oracle_find_matches(d, rules)
+        assert _match_tuples(d, LOOSE_RULES) == oracle_find_matches(d, LOOSE_RULES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagrams(min_width=3, max_width=5, max_gates=6))
+def test_loose_patterns_agree_with_reordering_oracle(d):
+    got = {(m.rule_name, m.offset, frozenset(m.indices))
+           for m in find_matches(d, LOOSE_RULES)}
+    assert got == oracle_matches(d, LOOSE_RULES)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normalize_equals_oracle_on_random_circuits(data):
+    d = data.draw(diagrams(max_width=6, max_gates=20))
+    nf, trace = normalize(d)
+    want_nf, want_steps = oracle_normalize(d, builtin_rules())
+    assert [(s.rule_name, s.match.offset, s.match.indices, s.after)
+            for s in trace.steps] == want_steps
+    assert nf == want_nf

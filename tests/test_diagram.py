@@ -11,7 +11,6 @@ from rbc.diagram import (
     compose_par,
     compose_seq,
     dependency_closure,
-    dependency_edges,
     equivalent,
     identity,
     layers,
@@ -22,7 +21,7 @@ from rbc.diagram import (
 )
 from rbc.errors import OutOfRangeError, WidthMismatchError
 
-from .oracles import oracle_equivalent, oracle_must_precede
+from .oracles import dependency_edges, oracle_equivalent, oracle_must_precede
 from .strategies import diagram_pairs, diagrams, diagrams_of, shuffles
 
 

@@ -137,3 +137,15 @@ def test_parse_rules_reports_offending_block_start():
     with pytest.raises(ParseError) as e:
         parse_rules(two)
     assert e.value.line == 7
+
+
+def test_parse_rules_rejects_duplicate_names():
+    twice = (
+        "rule drop\nwires 1\nnot 0\nnot 0\n=>\n\n"
+        "# the same name again\n"
+        "rule drop\nwires 2\nswap 0\nswap 0\n=>\n"
+    )
+    with pytest.raises(ParseError) as e:
+        parse_rules(twice)
+    assert e.value.line == 8
+    assert 'rule "drop" is already defined at line 1' in e.value.message
