@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 2 parse or validation problem, 3 verification
 failure, 4 step limit hit, 5 state limit hit.  The RBC_MAX_WIDTH
-environment variable overrides the truth-table width cap.
+environment variable overrides the truth-table width cap; it must lie
+in 0..20, since a table holds 2**width bits per wire.
 
 Every problem with the input ends in exit 2 and one ``error:`` line on
 standard error, never a traceback: a file that cannot be read (missing,
 a directory, no permission), a file that is not UTF-8 text (reported
 with the line of the first bad byte), a malformed circuit or rule file,
-an RBC_MAX_WIDTH that is not an integer, and a negative --max-steps or
---max-states.
+an RBC_MAX_WIDTH that is not an integer or lies outside 0..20 (checked
+before any table is built), and a negative --max-steps or --max-states.
 """
 
 from __future__ import annotations
@@ -78,14 +79,21 @@ def _load_rules(path: str | None) -> tuple[Rule, ...]:
     return parse_rules(_read(path))
 
 
+# Largest RBC_MAX_WIDTH accepted: a w20 table is 20 columns of 128 KiB.
+MAX_WIDTH_CAP = 20
+
+
 def _width_cap() -> int | None:
     raw = os.environ.get("RBC_MAX_WIDTH")
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f'RBC_MAX_WIDTH "{raw}" is not an integer') from None
+    if not 0 <= cap <= MAX_WIDTH_CAP:
+        raise InputError(f"RBC_MAX_WIDTH {cap} is outside 0..{MAX_WIDTH_CAP}")
+    return cap
 
 
 def _limit(option: str, value: int | None) -> int | None:

@@ -365,19 +365,29 @@ class ReductionTrace:
         return self.steps[-1].after if self.steps else self.initial
 
     def lines(self) -> list[str]:
+        # Each step starts where the previous one ended: one measure per
+        # circuit, the initial one first.
+        circuits = [self.initial] + [s.after for s in self.steps]
+        ranks = [total_rank(measure(x)) for x in circuits]
         out = []
         for i, s in enumerate(self.steps):
-            rb = total_rank(measure(s.before))
-            ra = total_rank(measure(s.after))
             idx = ",".join(str(j) for j in s.match.indices)
             out.append(
                 f"step {i + 1}: {s.rule_name} @ wires[{s.match.offset}] "
-                f"gates[{idx}] rank {rb} -> {ra}"
+                f"gates[{idx}] rank {ranks[i]} -> {ranks[i + 1]}"
             )
         return out
 
 
 def default_step_cap(d: Diagram) -> int:
+    """10 x gates x rank: a guard against implementation bugs only.
+
+    Every rule strictly lowers the measure, so a correct catalog never
+    reaches it; rank grows exponentially with word length, so the cap is
+    far above any real reduction.  It is never below 10 x gates**2,
+    because each gate stamps at least one letter and a word's rank is at
+    least its length.
+    """
     return 10 * max(1, len(d.gates)) * max(1, total_rank(measure(d)))
 
 
@@ -389,19 +399,25 @@ def normalize(
     """Apply the first available match until none remains.
 
     Termination is guaranteed by the strict measure drop of every rule;
-    the step cap only guards against implementation bugs.
+    the step cap only guards against implementation bugs.  Without
+    ``max_steps`` the cap is ``default_step_cap`` of the input, computed
+    only once the step count reaches 10 x gates**2, its lower bound, so
+    a reduction that ends sooner never pays for the input's measure.
     """
     if rules is None:
         rules = builtin_rules()
     current = canonicalize(d)
     initial = current
-    cap = default_step_cap(current) if max_steps is None else max_steps
+    cap = max_steps
+    lazy_from = 10 * max(1, len(initial.gates)) ** 2
     steps: list[ReductionStep] = []
     while True:
         ms = find_matches(current, rules)
         if not ms:
             break
-        if len(steps) >= cap:
+        if cap is None and len(steps) >= lazy_from:
+            cap = default_step_cap(initial)
+        if cap is not None and len(steps) >= cap:
             raise StepLimitExceeded(f"no normal form within {cap} steps")
         nxt = apply_match(current, ms[0])
         steps.append(ReductionStep(ms[0], current, nxt))
@@ -482,15 +498,20 @@ class TraceReport:
 
 def verify_trace(trace: ReductionTrace) -> TraceReport:
     """Independently re-check a reduction: boolean function preserved
-    and measure strictly dropped at every step."""
+    and measure strictly dropped at every step.
+
+    A step's circuit before the rewrite is the previous step's circuit
+    after it (``ReductionTrace`` checks that they are equal), so each
+    circuit's table, measure and rank are computed once.  A trace with
+    no steps needs no table, so it passes at any width."""
     checks = []
-    ranks = [total_rank(measure(trace.initial))]
+    tb = truth_table(trace.initial) if trace.steps else None
+    mb = measure(trace.initial)
+    ranks = [total_rank(mb)]
     for s in trace.steps:
-        sem_ok = truth_table(s.before) == truth_table(s.after)
-        mb = measure(s.before)
-        ma = measure(s.after)
-        verdict = map_compare(ma, mb)
-        rb, ra = total_rank(mb), total_rank(ma)
-        ranks.append(ra)
-        checks.append(StepCheck(s.rule_name, sem_ok, verdict, rb, ra))
+        ta, ma = truth_table(s.after), measure(s.after)
+        ranks.append(total_rank(ma))
+        checks.append(StepCheck(s.rule_name, ta == tb, map_compare(ma, mb),
+                                ranks[-2], ranks[-1]))
+        tb, mb = ta, ma
     return TraceReport(tuple(checks), tuple(ranks))

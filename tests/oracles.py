@@ -6,14 +6,29 @@ simulating swaps, and map comparison is evaluated pointwise on a finite
 word sample.  The dependency order is rebuilt by pairwise overlap scans
 (quadratic in the gate count), independent of the per-wire links, and
 the matcher and normalizer built on those scans serve as exact oracles
-on circuits too large for the all-reorderings search.
+on circuits too large for the all-reorderings search.  Truth tables are
+rebuilt one input row at a time with ``evaluate``, and the measure by
+chaining each gate's map padded with identities through ``map_seq``,
+independent of the bit-sliced kernel and the direct fold.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from rbc.diagram import Diagram, Gate, GateKind, commute, gates_overlap
-from rbc.moves import MoveMap, map_apply, word_le, word_key
+from rbc.measure import gate_measure
+from rbc.moves import (
+    MoveMap,
+    identity_map,
+    map_apply,
+    map_par,
+    map_seq,
+    word_key,
+    word_le,
+)
 from rbc.rewriting import Rule, _pattern_orders
+from rbc.semantics import evaluate
 
 
 def all_index_orders(d: Diagram) -> set[tuple[int, ...]]:
@@ -87,6 +102,25 @@ def oracle_src_permutation(d: Diagram) -> tuple[int, ...]:
     return tuple(at)
 
 
+def oracle_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """The truth table row by row: d evaluated on every input, in
+    ascending order with wire 0 most significant."""
+    return tuple(evaluate(d, bits) for bits in itertools.product((0, 1), repeat=d.width))
+
+
+def _padded(g: Gate, width: int) -> MoveMap:
+    body = map_par(identity_map(g.offset), gate_measure(g.kind))
+    return map_par(body, identity_map(width - g.offset - g.arity))
+
+
+def oracle_measure(d: Diagram) -> MoveMap:
+    """The measure as a chain of full-width maps, one per gate."""
+    acc = identity_map(d.width)
+    for g in d.gates:
+        acc = map_seq(acc, _padded(g, d.width))
+    return acc
+
+
 def _words_upto(max_len: int) -> list[str]:
     words = [""]
     frontier = [""]
@@ -101,8 +135,6 @@ def oracle_map_less(f: MoveMap, g: MoveMap, sample_len: int = 2) -> bool:
     length <= sample_len, plus equal routing."""
     if f.n != g.n or f.src != g.src:
         return False
-    import itertools
-
     words = _words_upto(sample_len)
     for xs in itertools.product(words, repeat=f.n):
         fx, gx = map_apply(f, xs), map_apply(g, xs)

@@ -240,6 +240,29 @@ def test_width_cap_not_an_integer(run, monkeypatch):
     assert err == 'error: RBC_MAX_WIDTH "abc" is not an integer\n'
 
 
+@pytest.mark.parametrize("raw", ["21", "-1", "1000000"])
+def test_width_cap_out_of_range(run, monkeypatch, raw):
+    import rbc.cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a truth table was built")
+
+    monkeypatch.setattr(rbc.cli, "truth_table", no_table)
+    monkeypatch.setenv("RBC_MAX_WIDTH", raw)
+    code, out, err = run("truth", "w.rbc", files={"w.rbc": "wires 30\n"})
+    assert code == 2
+    assert out == ""
+    assert err == f"error: RBC_MAX_WIDTH {raw} is outside 0..20\n"
+
+
+def test_width_cap_range_ends_accepted(run, monkeypatch):
+    monkeypatch.setenv("RBC_MAX_WIDTH", "0")
+    assert run("truth", "z.rbc", files={"z.rbc": "wires 0\n"}) == (0, " -> \n", "")
+    monkeypatch.setenv("RBC_MAX_WIDTH", "20")
+    assert run("truth", "n.rbc", files={"n.rbc": "wires 1\nnot 0\n"}) == (
+        0, "0 -> 1\n1 -> 0\n", "")
+
+
 def test_check_directory(run, tmp_path):
     code, out, err = run("check", str(tmp_path))
     assert code == 2

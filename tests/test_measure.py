@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbc.diagram import (
     Diagram,
+    Gate,
     GateKind,
     canonicalize,
     compose_par,
@@ -23,7 +26,7 @@ from rbc.measure import (
 from rbc.moves import MoveMap, Ordering, map_compare
 from rbc.rewriting import Rule, builtin_rules
 
-from .oracles import oracle_src_permutation
+from .oracles import oracle_measure, oracle_src_permutation
 from .strategies import diagram_pairs, diagrams, shuffles
 
 
@@ -161,3 +164,24 @@ def test_sequencing_never_shrinks_measure(pair):
     if whole.src == lone.src:
         # routing untouched, so dominance applies wire by wire
         assert map_compare(lone, whole) in (Ordering.LESS, Ordering.EQUAL)
+
+
+@pytest.mark.parametrize("width,count", [(16, 120), (24, 800)])
+def test_measure_equals_map_chain_oracle(width, count):
+    """The direct fold against chaining one padded map per gate, on
+    seeded circuits far larger than the property tests draw."""
+    rng = random.Random(width * 1000 + count)
+    kinds = list(GateKind)
+    for _ in range(3):
+        gates = []
+        for _ in range(count):
+            kind = rng.choice(kinds)
+            gates.append(Gate(kind, rng.randint(0, width - kind.arity)))
+        d = Diagram(width, tuple(gates))
+        assert measure(d) == oracle_measure(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagrams())
+def test_measure_equals_map_chain_oracle_small(d):
+    assert measure(d) == oracle_measure(d)

@@ -221,6 +221,16 @@ def test_default_step_cap_positive_even_for_empty():
     assert default_step_cap(LADDER_T3) == 10 * 5 * 87
 
 
+def test_default_step_cap_bites_on_a_looping_rule():
+    """A rule whose sides are equal never lowers the measure; it is built
+    directly, so validate_rule never sees it, and only the cap stops it."""
+    pair = Diagram(2, (swap(0), swap(0)))
+    loop = Rule("loop", pair, pair)
+    cap = default_step_cap(pair)
+    with pytest.raises(StepLimitExceeded, match=f"within {cap} steps"):
+        normalize(pair, (loop,))
+
+
 def test_trace_lines_show_rule_and_ranks():
     _, trace = normalize(LADDER_T3)
     assert trace.lines() == [
@@ -286,6 +296,40 @@ def test_verify_trace_flags_wrong_semantics():
     report = verify_trace(forged)
     assert not report.ok
     assert not report.checks[0].semantics_ok
+
+
+def test_verify_trace_of_no_steps_builds_no_table():
+    """Nothing to compare, so a normal form wider than the table cap
+    still verifies."""
+    _, trace = normalize(identity(16))
+    report = verify_trace(trace)
+    assert report.ok
+    assert report.ranks == (0,)
+
+
+def test_verify_trace_flags_an_extra_gate_in_a_later_step():
+    """Each circuit's table is computed once and reused as the next
+    step's starting table; a step whose result gained one not must still
+    fail on semantics, even though its measure drops."""
+    d = Diagram(1, (not_(0), not_(0), not_(0)))
+    _, trace = normalize(d)
+    (s,) = trace.steps
+    forged_after = Diagram(1, s.after.gates + (not_(0),))
+    forged = ReductionTrace(d, (ReductionStep(s.match, d, forged_after),))
+    report = verify_trace(forged)
+    assert not report.ok
+    assert report.checks[0].measure_verdict is Ordering.LESS
+    assert report.lines()[0] == "verify step 1: a_not semantics=FAIL measure=ok rank 13 -> 4"
+
+    _, trace = normalize(LADDER_T3)
+    s1, s2 = trace.steps
+    forged_after = Diagram(4, s2.after.gates + (not_(0),))
+    forged = ReductionTrace(trace.initial, (s1, ReductionStep(s2.match, s2.before, forged_after)))
+    report = verify_trace(forged)
+    assert not report.ok
+    assert report.checks[0].ok
+    assert not report.checks[1].semantics_ok
+    assert "semantics=FAIL" in report.lines()[1]
 
 
 @settings(max_examples=80, deadline=None)

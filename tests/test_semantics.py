@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rbc.diagram import Diagram, GateKind, identity, not_, swap, t2, t3
+from rbc.diagram import Diagram, Gate, GateKind, identity, not_, swap, t2, t3
 from rbc.errors import ArityMismatchError, WidthMismatchError, WidthTooLargeError
+from rbc.rewriting import normalize
 from rbc.semantics import (
+    TruthTable,
     apply_gate,
     evaluate,
     identity_table,
@@ -17,6 +20,7 @@ from rbc.semantics import (
     truth_table,
 )
 
+from .oracles import oracle_rows
 from .strategies import diagrams, shuffles
 
 
@@ -104,6 +108,55 @@ def test_rows_agree_with_evaluate(d):
 
 
 def test_is_permutation_rejects_collision():
-    from rbc.semantics import TruthTable
+    # One wire reading 0 on both rows: column 0b00.
+    assert not is_permutation(TruthTable(1, (0,)))
 
-    assert not is_permutation(TruthTable(1, ((0,), (0,))))
+
+def test_columns_hold_one_bit_per_row():
+    t = truth_table(Diagram(2, (not_(0),)))
+    # Rows 00, 01, 10, 11 map to 10, 11, 00, 01: wire 0 reads 1 on rows
+    # 0 and 1, wire 1 on rows 1 and 3.
+    assert t.columns == (0b0011, 0b1010)
+    assert identity_table(2).columns == (0b1100, 0b1010)
+
+
+def _circuit(rng: random.Random, width: int, count: int) -> Diagram:
+    """Exactly count random gates on width wires (none below width 1)."""
+    kinds = [k for k in GateKind if k.arity <= width]
+    gates = []
+    for _ in range(count if kinds else 0):
+        kind = rng.choice(kinds)
+        gates.append(Gate(kind, rng.randint(0, width - kind.arity)))
+    return Diagram(width, tuple(gates))
+
+
+@pytest.mark.parametrize("width", range(13))
+def test_rows_equal_oracle_by_width(width):
+    rng = random.Random(width)
+    for count in (0, 1, 5, 40):
+        d = _circuit(rng, width, count)
+        assert truth_table(d).rows == oracle_rows(d)
+    assert identity_table(width).rows == oracle_rows(Diagram(width))
+
+
+def test_rows_equal_oracle_w12_200_gates():
+    d = _circuit(random.Random(12), 12, 200)
+    assert truth_table(d).rows == oracle_rows(d)
+
+
+def test_table_equality_agrees_with_oracle():
+    """Kernel tables are equal exactly when the row-by-row tables are:
+    checked on a circuit against its normal form (equal) and against
+    the same circuit with one extra gate (different)."""
+    rng = random.Random(3)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        width = rng.randint(1, 6)
+        d = _circuit(rng, width, rng.randint(0, 25))
+        nf, _ = normalize(d)
+        extra = Diagram(width, d.gates + (_circuit(rng, width, 1).gates))
+        for other in (nf, extra):
+            same = truth_table(d) == truth_table(other)
+            assert same == (oracle_rows(d) == oracle_rows(other))
+            seen[same] += 1
+    assert seen[True] and seen[False]
