@@ -71,6 +71,7 @@ from .rewriting import (
     apply_match,
     builtin_rules,
     find_matches,
+    first_match,
     normalize,
     validate_rule,
     verify_trace,

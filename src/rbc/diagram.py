@@ -37,6 +37,11 @@ class GateKind(Enum):
         # A plain attribute: hot loops read it without hashing the member.
         self.arity = _ARITY[token]
 
+    # Members are singletons, also after unpickling, so identity hashing
+    # agrees with equality; it runs in C, where Enum's hashes the name in
+    # Python on every gate, dict or set lookup.
+    __hash__ = object.__hash__
+
 
 # Stable ordering used when sorting gates and diagrams deterministically.
 KIND_ORDER = {kind: i for i, kind in enumerate(GateKind)}

@@ -136,12 +136,17 @@ def map_compare(f: MoveMap, g: MoveMap) -> Ordering:
         return Ordering.EQUAL
     if f.src != g.src:
         return Ordering.INCOMPARABLE
+    # Both maps checked their letters when built, so the suffixes are
+    # compared directly: by length, then lexicographically with
+    # t < r < l, the reverse of the letters' code point order.
     le = ge = True
     for a, b in zip(f.suffixes, g.suffixes):
-        c = word_compare(a, b)
-        if c is Ordering.LESS:
+        if a == b:
+            continue
+        less = len(a) < len(b) if len(a) != len(b) else a > b
+        if less:
             ge = False
-        elif c is Ordering.GREATER:
+        else:
             le = False
     if le and not ge:
         return Ordering.LESS

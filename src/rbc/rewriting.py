@@ -95,6 +95,14 @@ class Rule:
                 plans.append(tuple(slots))
         return tuple(plans)
 
+    @functools.cached_property
+    def _orders(self) -> frozenset[tuple[tuple[GateKind, int], ...]]:
+        """Every pattern order as (kind, offset) pairs.  Kept on the rule
+        so that checking a match hashes only the selected gates, never
+        the pattern."""
+        return frozenset(tuple((g.kind, g.offset) for g in order)
+                         for order in _pattern_orders(self.lhs))
+
 
 def validate_rule(rule: Rule) -> None:
     """Check the semantic obligations: equal truth tables and a strict
@@ -180,7 +188,6 @@ class Match:
         return self.rule.name
 
 
-@functools.lru_cache(maxsize=256)
 def _pattern_orders(lhs: Diagram) -> tuple[tuple[Gate, ...], ...]:
     """Every gate order the pattern can appear in, deduplicated."""
     gates = lhs.gates
@@ -213,16 +220,65 @@ def _pattern_orders(lhs: Diagram) -> tuple[tuple[Gate, ...], ...]:
     return tuple(sorted(out, key=lambda t: [g.sort_key() for g in t]))
 
 
+# The dependency structure of one diagram, (gates, after, before, succ):
+# the closure, the ancestor masks and the wire links.
+_Host = tuple[tuple[Gate, ...], tuple[int, ...], list[int], list[int]]
+
+# (diagram, its structure) for the last diagram matched or rewritten, so
+# that matching a diagram and applying matches to that same diagram build
+# the structure once.  Keyed on identity, never on equality, and replaced
+# by one assignment, so a diagram is never paired with another diagram's
+# structure; it holds one entry, however long a reduction runs.
+_host_memo: tuple = (None, None)
+
+# (rule tuple, its start table), the same way: normalize and the search
+# pass one rule tuple to every call.
+_starts_memo: tuple = (None, None)
+
+
+def _host(d: Diagram) -> _Host:
+    """The dependency structure of d, rebuilt unless d is the diagram
+    object the last one was built for."""
+    global _host_memo
+    memo = _host_memo
+    if memo[0] is d:
+        return memo[1]
+    succ, before = wire_links(d)
+    host = (d.gates, dependency_closure(d), before, succ)
+    _host_memo = (d, host)
+    return host
+
+
+def _start_table(rules: tuple[Rule, ...]) -> dict:
+    """Every plan of the catalog grouped by the kind of its first slot,
+    in catalog order, as (rule index, rule width, first offset, second
+    slot's kind, offset and wire on the first slot (-1 when it is not
+    linked to it), plan)."""
+    global _starts_memo
+    memo = _starts_memo
+    if memo[0] is rules:
+        return memo[1]
+    table: dict[GateKind, list] = {}
+    for ri, rule in enumerate(rules):
+        for plan in rule._plans:
+            kind1, offset1, _, wire1 = plan[1] if len(plan) > 1 else (None, 0, -1, -1)
+            table.setdefault(plan[0][0], []).append(
+                (ri, rule.width, plan[0][1], kind1, offset1, wire1, plan))
+    _starts_memo = (rules, table)
+    return table
+
+
 def _extend(host, plan, k, chosen, smask, desc, anc, found, ri) -> None:
     """Fill the slots of plan after the host gates in chosen, appending
     each convex completion to found; desc and anc are the descendants
     and ancestors of smask, the mask of chosen."""
-    gates, after, before, succ, by_kind = host
+    gates, after, before, succ = host
     for slot in range(len(chosen), len(plan)):
         kind, offset, link, wire = plan[slot]
         if link < 0:
-            for c in by_kind[kind]:
-                if c > chosen[-1] and gates[c].offset == offset + k:
+            for c in range(chosen[-1] + 1, len(gates)):
+                g = gates[c]
+                if g.kind is kind and g.offset == offset + k:
                     d2, a2, s2 = desc | after[c], anc | before[c], smask | 1 << c
                     if not d2 & a2 & ~s2:
                         _extend(host, plan, k, chosen + (c,), s2, d2, a2, found, ri)
@@ -244,53 +300,71 @@ def _extend(host, plan, k, chosen, smask, desc, anc, found, ri) -> None:
     found.append((chosen[0], k, ri, chosen))
 
 
+def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> None:
+    """Append to found every match whose first host gate is i0, as
+    (i0, window offset, rule index, indices)."""
+    gates, after, before, succ = host
+    g0 = gates[i0]
+    for ri, rw, offset0, kind1, offset1, wire1, plan in table.get(g0.kind, ()):
+        k = g0.offset - offset0
+        if k < 0 or k + rw > width:
+            continue
+        # Most starts fail at the second slot when it is linked to the
+        # first; test that here, before paying for a call.
+        if wire1 >= 0:
+            c = succ[3 * i0 + wire1]
+            if c < 0:
+                continue
+            g = gates[c]
+            if g.kind is not kind1 or g.offset != offset1 + k:
+                continue
+        _extend(host, plan, k, (i0,), 1 << i0, after[i0], before[i0], found, ri)
+
+
 def find_matches(d: Diagram, rules: tuple[Rule, ...] | None = None) -> list[Match]:
-    """All occurrences of the rules in d, deterministically ordered by
-    (first matched gate, window offset, rule position in the catalog)."""
+    """All occurrences of the rules in d, in the order of the key (first
+    matched gate, window offset, rule position in the catalog, indices);
+    ``first_match`` returns the least of them."""
     if rules is None:
         rules = builtin_rules()
-    gates = d.gates
-    width = d.width
-    after = dependency_closure(d)
-    succ, before = wire_links(d)
-    by_kind = {kind: [i for i, g in enumerate(gates) if g.kind is kind]
-               for kind in GateKind}
-    host = (gates, after, before, succ, by_kind)
-    # (first index, window offset, rule index, indices): sorting these
-    # gives the documented order.
+    host = _host(d)
+    table = _start_table(rules)
     found: list[tuple[int, int, int, tuple[int, ...]]] = []
-
-    for ri, rule in enumerate(rules):
-        rw = rule.width
-        if rw > width:
-            continue
-        for plan in rule._plans:
-            kind0, offset0 = plan[0][0], plan[0][1]
-            # Most starts fail at the second slot when it is linked to
-            # the first; test that here, before paying for a call.
-            kind1, offset1, link1, wire1 = plan[1] if len(plan) > 1 else (None, 0, -1, 0)
-            for i0 in by_kind[kind0]:
-                k = gates[i0].offset - offset0
-                if k < 0 or k + rw > width:
-                    continue
-                if link1 == 0:
-                    c = succ[3 * i0 + wire1]
-                    if c < 0:
-                        continue
-                    g = gates[c]
-                    if g.kind is not kind1 or g.offset != offset1 + k:
-                        continue
-                _extend(host, plan, k, (i0,), 1 << i0, after[i0], before[i0],
-                        found, ri)
-
+    for i0 in range(len(d.gates)):
+        _matches_at(host, d.width, table, i0, found)
     found.sort()
     return [Match(rules[ri], k, idx) for _, k, ri, idx in found]
 
 
+def first_match(d: Diagram, rules: tuple[Rule, ...] | None = None) -> Match | None:
+    """The first match of ``find_matches(d, rules)``, or None when there
+    is none.
+
+    Every match's indices ascend, so its first matched gate is its least
+    index: the scan goes through the host gates in order, and the least
+    key among the matches that start at the first gate starting any
+    match is the least key overall.  Later gates are never scanned.
+    """
+    if rules is None:
+        rules = builtin_rules()
+    host = _host(d)
+    table = _start_table(rules)
+    found: list[tuple[int, int, int, tuple[int, ...]]] = []
+    for i0 in range(len(d.gates)):
+        _matches_at(host, d.width, table, i0, found)
+        if found:
+            _, k, ri, idx = min(found)
+            return Match(rules[ri], k, idx)
+    return None
+
+
 def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
-    """Check m against d, recomputing the dependency order itself.
-    Returns the mask of the matched gates and the mask of the gates that
-    must run before some matched gate."""
+    """Check m against d: the pattern length, indices ascending and in
+    range, the window, that the selected gates spell an order of the
+    pattern, and convexity, re-checked against the dependency structure
+    built for this exact diagram object (by whichever of matching or
+    applying reached it first).  Returns the mask of the matched gates
+    and the mask of the gates that must run before some matched gate."""
     gates = d.gates
     n = len(gates)
     idx = m.indices
@@ -301,11 +375,10 @@ def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
         raise StaleMatchError(f"gate indices {idx} not ascending within 0..{n - 1}")
     if m.offset < 0 or m.offset + m.rule.width > d.width:
         raise StaleMatchError(f"window at {m.offset} falls outside width {d.width}")
-    picked = tuple(Gate(gates[i].kind, gates[i].offset - m.offset) for i in idx)
-    if picked not in _pattern_orders(m.rule.lhs):
+    picked = tuple((gates[i].kind, gates[i].offset - m.offset) for i in idx)
+    if picked not in m.rule._orders:
         raise StaleMatchError("selected gates no longer spell the pattern")
-    after = dependency_closure(d)
-    _, before = wire_links(d)
+    _, after, before, _ = _host(d)
     smask = desc = anc = 0
     for i in idx:
         smask |= 1 << i
@@ -396,7 +469,8 @@ def normalize(
     rules: tuple[Rule, ...] | None = None,
     max_steps: int | None = None,
 ) -> tuple[Diagram, ReductionTrace]:
-    """Apply the first available match until none remains.
+    """Apply the first available match (``first_match``) until none
+    remains.
 
     Termination is guaranteed by the strict measure drop of every rule;
     the step cap only guards against implementation bugs.  Without
@@ -412,15 +486,15 @@ def normalize(
     lazy_from = 10 * max(1, len(initial.gates)) ** 2
     steps: list[ReductionStep] = []
     while True:
-        ms = find_matches(current, rules)
-        if not ms:
+        m = first_match(current, rules)
+        if m is None:
             break
         if cap is None and len(steps) >= lazy_from:
             cap = default_step_cap(initial)
         if cap is not None and len(steps) >= cap:
             raise StepLimitExceeded(f"no normal form within {cap} steps")
-        nxt = apply_match(current, ms[0])
-        steps.append(ReductionStep(ms[0], current, nxt))
+        nxt = apply_match(current, m)
+        steps.append(ReductionStep(m, current, nxt))
         current = nxt
     return current, ReductionTrace(initial, tuple(steps))
 
@@ -446,12 +520,13 @@ def all_normal_forms(
             continue
         for m in ms:
             nxt = apply_match(cur, m)
-            if nxt not in seen:
-                if len(seen) >= max_states:
+            size = len(seen)
+            seen.add(nxt)  # hashes nxt once; the size tells whether it is new
+            if len(seen) > size:
+                if size >= max_states:
                     raise StateLimitExceeded(
                         f"more than {max_states} circuits reached"
                     )
-                seen.add(nxt)
                 queue.append(nxt)
     return normal
 

@@ -3,7 +3,7 @@
 These deliberately avoid the algorithms under test: reorderings are
 enumerated by explicit adjacent transpositions, routing is tracked by
 simulating swaps, and map comparison is evaluated pointwise on a finite
-word sample.  The dependency order is rebuilt by pairwise overlap scans
+word sample and suffix by suffix through ``word_compare``.  The dependency order is rebuilt by pairwise overlap scans
 (quadratic in the gate count), independent of the per-wire links, and
 the matcher and normalizer built on those scans serve as exact oracles
 on circuits too large for the all-reorderings search.  Truth tables are
@@ -20,10 +20,12 @@ from rbc.diagram import Diagram, Gate, GateKind, commute, gates_overlap
 from rbc.measure import gate_measure
 from rbc.moves import (
     MoveMap,
+    Ordering,
     identity_map,
     map_apply,
     map_par,
     map_seq,
+    word_compare,
     word_key,
     word_le,
 )
@@ -143,6 +145,21 @@ def oracle_map_less(f: MoveMap, g: MoveMap, sample_len: int = 2) -> bool:
         if not any(word_key(a) < word_key(b) for a, b in zip(fx, gx)):
             return False
     return True
+
+
+def oracle_map_compare(f: MoveMap, g: MoveMap) -> Ordering:
+    """The pointwise order with each pair of suffixes compared by
+    ``word_compare``, which re-checks every letter."""
+    if f == g:
+        return Ordering.EQUAL
+    if f.src != g.src:
+        return Ordering.INCOMPARABLE
+    verdicts = {word_compare(a, b) for a, b in zip(f.suffixes, g.suffixes)}
+    if Ordering.LESS in verdicts and Ordering.GREATER not in verdicts:
+        return Ordering.LESS
+    if Ordering.GREATER in verdicts and Ordering.LESS not in verdicts:
+        return Ordering.GREATER
+    return Ordering.INCOMPARABLE
 
 
 def oracle_dependency_closure(d: Diagram) -> tuple[int, ...]:

@@ -3,7 +3,10 @@
 Seeded circuits here are far too large for the all-reorderings oracle
 (w16 with 120 gates, w24 with 200 gates), so the fast closure, layering,
 matcher and normalizer are compared for exact equality with the
-pairwise-overlap implementations in ``oracles.py``.
+pairwise-overlap implementations in ``oracles.py``.  The matcher and
+``apply_match`` share one structure per diagram object, so the last tests
+interleave calls on several diagrams and check every result against the
+oracles on the diagram each call was given.
 """
 
 from __future__ import annotations
@@ -26,10 +29,19 @@ from rbc.diagram import (
     t3,
     wire_links,
 )
-from rbc.rewriting import Rule, builtin_rules, find_matches, normalize
+from rbc.errors import StaleMatchError
+from rbc.rewriting import (
+    Rule,
+    apply_match,
+    builtin_rules,
+    find_matches,
+    first_match,
+    normalize,
+)
 from rbc.sampling import random_diagram
 
 from .oracles import (
+    oracle_apply,
     oracle_dependency_closure,
     oracle_find_matches,
     oracle_layers,
@@ -128,3 +140,67 @@ def test_normalize_equals_oracle_on_random_circuits(data):
     assert [(s.rule_name, s.match.offset, s.match.indices, s.after)
             for s in trace.steps] == want_steps
     assert nf == want_nf
+
+
+def _first_equals_head(d, rules):
+    ms = find_matches(d, rules)
+    assert first_match(d, rules) == (ms[0] if ms else None)
+
+
+@pytest.mark.parametrize("d", _large(2005, 2), ids=lambda d: f"w{d.width}")
+def test_first_match_is_head_of_find_matches_on_large_circuits(d):
+    _first_equals_head(d, builtin_rules())
+    _first_equals_head(d, LOOSE_RULES)
+
+
+def test_first_match_is_head_of_find_matches_on_small_circuits():
+    rng = random.Random(2006)
+    for _ in range(200):
+        d = random_diagram(rng, max_width=6, max_gates=25)
+        _first_equals_head(d, builtin_rules())
+        _first_equals_head(d, LOOSE_RULES)
+        nf, trace = normalize(d, LOOSE_RULES)
+        want_nf, want_steps = oracle_normalize(d, LOOSE_RULES)
+        assert [(s.rule_name, s.match.offset, s.match.indices, s.after)
+                for s in trace.steps] == want_steps
+        assert nf == want_nf
+
+
+def _check_apply(d, m):
+    assert apply_match(d, m) == oracle_apply(d, m.rule, m.offset, m.indices)
+
+
+def test_interleaved_diagrams_never_share_a_structure():
+    rules = builtin_rules()
+    a, b = _large(2007, 1)
+    a2 = Diagram(a.width, a.gates)
+    assert a2 == a and a2 is not a
+    c = Diagram(a.width, tuple(reversed(a.gates)))
+    assert c != a and len(c.gates) == len(a.gates)
+    ms = {}
+    for d in (a, b, a2, c, a):
+        ms[id(d)] = find_matches(d, rules)
+        assert _match_tuples(d, rules) == oracle_find_matches(d, rules)
+    for d in (c, a2, b, a, c):
+        for m in ms[id(d)][:3] + ms[id(d)][-3:]:
+            _check_apply(d, m)
+        m = first_match(d, rules)
+        _check_apply(a, ms[id(a)][0])
+        _check_apply(d, m)
+        assert (m.rule_name, m.offset, m.indices) == oracle_find_matches(d, rules)[0]
+
+
+def test_match_applied_to_another_diagram_is_rechecked():
+    """Indices that spell the pattern on another diagram of the same
+    width and length, but pin a gate there, are still rejected after
+    the first diagram's structure was built."""
+    found_on = Diagram(3, (swap(0), not_(2), swap(0)))
+    pinned = Diagram(3, (swap(0), not_(1), swap(0)))
+    m = next(m for m in find_matches(found_on) if m.rule_name == "p_swap2")
+    assert m.indices == (0, 2)
+    with pytest.raises(StaleMatchError):
+        apply_match(pinned, m)
+    first_match(pinned)  # now the structure of pinned has been built
+    with pytest.raises(StaleMatchError):
+        apply_match(pinned, m)
+    _check_apply(found_on, m)

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbc
 from rbc.diagram import (
     Diagram,
+    GateKind,
     canonicalize,
     commute,
     compose_par,
@@ -23,6 +30,24 @@ from rbc.errors import OutOfRangeError, WidthMismatchError
 
 from .oracles import dependency_edges, oracle_equivalent, oracle_must_precede
 from .strategies import diagram_pairs, diagrams, diagrams_of, shuffles
+
+
+def test_unpickled_diagram_and_fresh_one_share_a_set():
+    """Hashes are not carried by pickles, so a diagram pickled by another
+    interpreter (with other identity hashes) hashes like a fresh one."""
+    src = Path(rbc.__file__).resolve().parents[1]
+    code = ("import pickle, sys; sys.path.insert(0, sys.argv[1]); "
+            "from rbc.diagram import Diagram, not_, swap, t2, t3; "
+            "d = Diagram(4, (swap(0), t3(1), not_(3), t2(2), swap(1))); hash(d); "
+            "sys.stdout.buffer.write(pickle.dumps(d))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         check=True, timeout=60).stdout
+    fresh = Diagram(4, (swap(0), t3(1), not_(3), t2(2), swap(1)))
+    for loaded in (pickle.loads(out), pickle.loads(pickle.dumps(fresh))):
+        assert loaded == fresh and loaded is not fresh
+        assert loaded.gates[0].kind is GateKind.SWAP
+        assert loaded in {fresh}
+        assert len({fresh, loaded}) == 1
 
 
 def test_validate_accepts_fitting_gates():

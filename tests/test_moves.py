@@ -29,7 +29,7 @@ from rbc.moves import (
     word_rank,
 )
 
-from .oracles import _words_upto, oracle_map_less
+from .oracles import _words_upto, oracle_map_compare, oracle_map_less
 from .strategies import WORDS, move_maps
 
 
@@ -221,6 +221,28 @@ def test_map_compare_matches_pointwise_oracle(data):
     assert (verdict is Ordering.LESS) == oracle_map_less(f, g)
     assert (verdict is Ordering.GREATER) == oracle_map_less(g, f)
     assert (verdict is Ordering.EQUAL) == (f == g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_map_compare_equals_word_compare_oracle(data):
+    """map_compare compares suffixes without re-checking letters; it must
+    agree with suffix-by-suffix word_compare, including on longer words
+    of equal length, where the t < r < l order decides."""
+    n = data.draw(st.integers(0, 4))
+    f = data.draw(move_maps(n=n, max_suffix=6))
+    how = data.draw(st.sampled_from(["same lengths", "same routing", "any"]))
+    if how == "same lengths":
+        g = MoveMap(f.src, tuple(data.draw(st.text(alphabet="lrt", min_size=len(w),
+                                                   max_size=len(w)))
+                                 for w in f.suffixes))
+    elif how == "same routing":
+        g = MoveMap(f.src, tuple(data.draw(st.lists(
+            st.text(alphabet="lrt", max_size=6), min_size=n, max_size=n))))
+    else:
+        g = data.draw(move_maps(n=n, max_suffix=6))
+    assert map_compare(f, g) is oracle_map_compare(f, g)
+    assert map_compare(g, f) is oracle_map_compare(g, f)
 
 
 @given(st.data())

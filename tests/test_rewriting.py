@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -31,6 +33,8 @@ from rbc.rewriting import (
     verify_trace,
 )
 from rbc.semantics import truth_table
+
+from rbc.sampling import random_diagram
 
 from .oracles import oracle_matches
 from .strategies import diagrams, shuffles
@@ -380,3 +384,57 @@ def test_all_normal_forms_share_one_function(d):
     for n in nfs:
         assert find_matches(n) == []
         assert equivalent(n, canonicalize(n))
+
+
+def _counted_apply_match(monkeypatch) -> list:
+    """Route every call of rbc.rewriting.apply_match through a counter,
+    the way a benchmark counts rewrite steps."""
+    module = sys.modules["rbc.rewriting"]
+    real = module.apply_match
+    calls = []
+
+    def counted(d, m):
+        calls.append(m)
+        return real(d, m)
+
+    monkeypatch.setattr(module, "apply_match", counted)
+    return calls
+
+
+def _expansion_matches(d) -> int:
+    """Matches over every state all_normal_forms expands from d: every
+    state reachable from d's canonical form."""
+    start = canonicalize(d)
+    seen, todo, total = {start}, [start], 0
+    while todo:
+        cur = todo.pop()
+        ms = find_matches(cur)
+        total += len(ms)
+        for m in ms:
+            nxt = apply_match(cur, m)
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return total
+
+
+def test_apply_match_is_called_once_per_step(monkeypatch):
+    """A benchmark counts rewrite steps by wrapping the module's
+    apply_match: normalize calls it once per trace step, the search once
+    per match of every state it expands."""
+    rng = random.Random(2008)
+    circuits = [LADDER_T3, TWO_NF] + [random_diagram(rng, max_width=5, max_gates=12)
+                                      for _ in range(30)]
+    want = [_expansion_matches(d) for d in circuits]
+    calls = _counted_apply_match(monkeypatch)
+    for d, expanded in zip(circuits, want):
+        calls.clear()
+        _, trace = normalize(d)
+        assert len(calls) == len(trace.steps)
+        assert calls == [s.match for s in trace.steps]
+        calls.clear()
+        all_normal_forms(d)
+        assert len(calls) == expanded
+    # the ladder has one match in each of two states, TWO_NF two at the start
+    assert want[:2] == [2, 2]
+    assert sum(want) > len(circuits)
