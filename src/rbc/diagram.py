@@ -12,15 +12,19 @@ must run after the previous gate on each of its wires, and nothing else
 constrains it.  Closure, ancestors, the links between consecutive gates
 on a wire, and layering are each one pass over the gate list that keeps
 one entry per wire, so they are linear in the number of gates (times
-the cost of an OR on bitmasks one bit per gate).  They expect a valid
-diagram, every gate inside ``width`` wires.
+the cost of an OR on bitmasks one bit per gate).  ``wire_links`` gives
+the links both ways (next and previous gate on each wire) and the
+ancestor masks in one forward pass; that is all the rewrite engine
+reads, and ``dependency_closure`` (the descendants) is a utility.
+``canonicalize`` is one per-wire depth pass and one sort of the gates
+on an int key.  They expect a valid diagram, every gate inside
+``width`` wires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 
 from .errors import OutOfRangeError, WidthMismatchError
 
@@ -147,7 +151,32 @@ def compose_par(d1: Diagram, d2: Diagram) -> Diagram:
 # sorted by offset.
 Layer = tuple[Gate, ...]
 
-_offset = attrgetter("offset")
+
+def _layer_keys(d: Diagram) -> list[int]:
+    """Per gate, ``level * width + offset``, where level is the gate's
+    greedy earliest layer: one past the last layer used on any of its
+    wires.  Gates in one layer are disjoint, so the keys are unique and
+    sorting by them lists the layers in order, each by offset."""
+    width = d.width
+    depth = [0] * width  # layers used so far on each wire
+    keys = []
+    for g in d.gates:
+        lo = g.offset
+        arity = g.kind.arity
+        if arity == 1:
+            level = depth[lo]
+            depth[lo] = level + 1
+        elif arity == 2:
+            level = depth[lo]
+            other = depth[lo + 1]
+            if other > level:
+                level = other
+            depth[lo] = depth[lo + 1] = level + 1
+        else:
+            level = max(depth[lo], depth[lo + 1], depth[lo + 2])
+            depth[lo] = depth[lo + 1] = depth[lo + 2] = level + 1
+        keys.append(level * width + lo)
+    return keys
 
 
 def layers(d: Diagram) -> tuple[Layer, ...]:
@@ -157,24 +186,21 @@ def layers(d: Diagram) -> tuple[Layer, ...]:
     window overlaps its own, so gates within one layer never overlap.
     Per wire, that is one past the last layer used on any of its wires.
     """
-    depth = [0] * d.width  # layers used so far on each wire
+    by_key = dict(zip(_layer_keys(d), d.gates))
     buckets: list[list[Gate]] = []
-    for g in d.gates:
-        lo = g.offset
-        hi = lo + g.kind.arity
-        level = max(depth[lo:hi])
-        depth[lo:hi] = (level + 1,) * (hi - lo)
+    for key in sorted(by_key):
+        level = key // d.width
         if level == len(buckets):
-            buckets.append([g])
-        else:
-            buckets[level].append(g)
-    return tuple(tuple(sorted(b, key=_offset)) for b in buckets)
+            buckets.append([])
+        buckets[level].append(by_key[key])
+    return tuple(map(tuple, buckets))
 
 
 def canonicalize(d: Diagram) -> Diagram:
-    """Unique representative of d's reordering class: layers, flattened."""
-    flat = tuple(g for layer in layers(d) for g in layer)
-    return Diagram(d.width, flat)
+    """Unique representative of d's reordering class: the layers,
+    flattened, found by one sort on the layer keys."""
+    by_key = dict(zip(_layer_keys(d), d.gates))
+    return Diagram(d.width, tuple(map(by_key.__getitem__, sorted(by_key))))
 
 
 def equivalent(d1: Diagram, d2: Diagram) -> bool:
@@ -207,31 +233,55 @@ def dependency_closure(d: Diagram) -> tuple[int, ...]:
     return tuple(after)
 
 
-def wire_links(d: Diagram) -> tuple[list[int], list[int]]:
-    """The per-wire links and the ancestor masks, in one forward pass.
+def wire_links(d: Diagram) -> tuple[list[int], list[int], list[int]]:
+    """The per-wire links both ways and the ancestor masks, in one
+    forward pass.
 
-    Returns ``(succ, before)``.  ``succ[3 * i + r]`` is the next gate
-    after gate i on wire ``offset + r`` of gate i, or -1 when there is
-    none (or gate i has fewer than r + 1 wires).  ``before[i]`` is the
-    bitmask of all indices that must run before i, the mirror of
+    Returns ``(succ, pred, before)``.  ``succ[3 * i + r]`` is the next
+    gate after gate i on wire ``offset + r`` of gate i, and
+    ``pred[3 * i + r]`` the previous one, or -1 when there is none (or
+    gate i has fewer than r + 1 wires).  ``before[i]`` is the bitmask of
+    all indices that must run before i, the mirror of
     ``dependency_closure``.
     """
     gates = d.gates
     succ = [-1] * (3 * len(gates))
+    pred = succ[:]
     before = [0] * len(gates)
     last = [-1] * d.width  # link slot of the latest gate on each wire
+    # One branch per wire, unrolled: a loop over each gate's wires costs
+    # more than the links themselves.
     for j, g in enumerate(gates):
         lo = g.offset
-        acc = 0
-        for w in range(lo, lo + g.kind.arity):
-            slot = last[w]
+        base = 3 * j
+        slot = last[lo]
+        if slot >= 0:
+            succ[slot] = j
+            i = slot // 3
+            pred[base] = i
+            acc = (1 << i) | before[i]
+        else:
+            acc = 0
+        last[lo] = base
+        arity = g.kind.arity
+        if arity > 1:
+            slot = last[lo + 1]
             if slot >= 0:
                 succ[slot] = j
                 i = slot // 3
+                pred[base + 1] = i
                 acc |= (1 << i) | before[i]
-            last[w] = 3 * j + w - lo
+            last[lo + 1] = base + 1
+            if arity > 2:
+                slot = last[lo + 2]
+                if slot >= 0:
+                    succ[slot] = j
+                    i = slot // 3
+                    pred[base + 2] = i
+                    acc |= (1 << i) | before[i]
+                last[lo + 2] = base + 2
         before[j] = acc
-    return succ, before
+    return succ, pred, before
 
 
 def sort_key(d: Diagram) -> tuple:

@@ -156,8 +156,17 @@ def map_compare(f: MoveMap, g: MoveMap) -> Ordering:
 
 
 def total_rank(f: MoveMap) -> int:
-    """Sum of suffix ranks: the natural-number shadow of the map."""
-    return sum(word_rank(s) for s in f.suffixes)
+    """Sum of suffix ranks: the natural-number shadow of the map.
+
+    The map checked its letters when built, so each suffix's digits are
+    folded directly, as ``word_rank`` does after its check."""
+    total = 0
+    for s in f.suffixes:
+        n = 0
+        for ch in s:
+            n = 3 * n + _DIGIT[ch]
+        total += n
+    return total
 
 
 @dataclass(frozen=True)

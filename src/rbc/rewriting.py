@@ -21,7 +21,6 @@ from .diagram import (
     Gate,
     GateKind,
     canonicalize,
-    dependency_closure,
     gates_overlap,
     not_,
     swap,
@@ -220,9 +219,9 @@ def _pattern_orders(lhs: Diagram) -> tuple[tuple[Gate, ...], ...]:
     return tuple(sorted(out, key=lambda t: [g.sort_key() for g in t]))
 
 
-# The dependency structure of one diagram, (gates, after, before, succ):
-# the closure, the ancestor masks and the wire links.
-_Host = tuple[tuple[Gate, ...], tuple[int, ...], list[int], list[int]]
+# The dependency structure of one diagram, (gates, pred, before, succ):
+# the wire links both ways and the ancestor masks, from one forward pass.
+_Host = tuple[tuple[Gate, ...], list[int], list[int], list[int]]
 
 # (diagram, its structure) for the last diagram matched or rewritten, so
 # that matching a diagram and applying matches to that same diagram build
@@ -243,8 +242,8 @@ def _host(d: Diagram) -> _Host:
     memo = _host_memo
     if memo[0] is d:
         return memo[1]
-    succ, before = wire_links(d)
-    host = (d.gates, dependency_closure(d), before, succ)
+    succ, pred, before = wire_links(d)
+    host = (d.gates, pred, before, succ)
     _host_memo = (d, host)
     return host
 
@@ -268,20 +267,36 @@ def _start_table(rules: tuple[Rule, ...]) -> dict:
     return table
 
 
-def _extend(host, plan, k, chosen, smask, desc, anc, found, ri) -> None:
+def _pins(pred: list[int], before: list[int], c: int, smask: int) -> bool:
+    """True when some wire predecessor of gate c lies outside smask and
+    has an ancestor in smask."""
+    for p in pred[3 * c:3 * c + 3]:
+        if p >= 0 and before[p] & smask and not smask >> p & 1:
+            return True
+    return False
+
+
+def _extend(host, plan, k, chosen, smask, found, ri) -> None:
     """Fill the slots of plan after the host gates in chosen, appending
-    each convex completion to found; desc and anc are the descendants
-    and ancestors of smask, the mask of chosen."""
-    gates, after, before, succ = host
+    each convex completion to found; smask is the mask of chosen.
+
+    Every slot takes a gate c above all chosen indices, so convexity is
+    checked from c's wire predecessors alone (``_pins``): adding c to a
+    convex set S pins a gate if and only if some predecessor p of c has
+    p not in S and an ancestor in S.  Proof: on a path from S to c
+    through an unmatched gate, the last gate before c is a predecessor
+    of c; if it is in S, the pinned gate already sat between two gates
+    of S, otherwise it is an unmatched predecessor with an ancestor in S.
+    """
+    gates, pred, before, succ = host
     for slot in range(len(chosen), len(plan)):
         kind, offset, link, wire = plan[slot]
         if link < 0:
             for c in range(chosen[-1] + 1, len(gates)):
                 g = gates[c]
-                if g.kind is kind and g.offset == offset + k:
-                    d2, a2, s2 = desc | after[c], anc | before[c], smask | 1 << c
-                    if not d2 & a2 & ~s2:
-                        _extend(host, plan, k, chosen + (c,), s2, d2, a2, found, ri)
+                if (g.kind is kind and g.offset == offset + k
+                        and not _pins(pred, before, c, smask)):
+                    _extend(host, plan, k, chosen + (c,), smask | 1 << c, found, ri)
             return
         c = succ[3 * chosen[link] + wire]
         if c <= chosen[-1]:
@@ -289,21 +304,18 @@ def _extend(host, plan, k, chosen, smask, desc, anc, found, ri) -> None:
         g = gates[c]
         if g.kind is not kind or g.offset != offset + k:
             return
-        desc |= after[c]
-        anc |= before[c]
-        smask |= 1 << c
-        # A pinned gate lies below the last chosen index, so no later
-        # slot can take it in.
-        if desc & anc & ~smask:
+        # A pinned gate lies below c, so no later slot can take it in.
+        if _pins(pred, before, c, smask):
             return
         chosen += (c,)
+        smask |= 1 << c
     found.append((chosen[0], k, ri, chosen))
 
 
 def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> None:
     """Append to found every match whose first host gate is i0, as
     (i0, window offset, rule index, indices)."""
-    gates, after, before, succ = host
+    gates, _, _, succ = host
     g0 = gates[i0]
     for ri, rw, offset0, kind1, offset1, wire1, plan in table.get(g0.kind, ()):
         k = g0.offset - offset0
@@ -318,15 +330,15 @@ def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> N
             g = gates[c]
             if g.kind is not kind1 or g.offset != offset1 + k:
                 continue
-        _extend(host, plan, k, (i0,), 1 << i0, after[i0], before[i0], found, ri)
+        _extend(host, plan, k, (i0,), 1 << i0, found, ri)
 
 
 def find_matches(d: Diagram, rules: tuple[Rule, ...] | None = None) -> list[Match]:
     """All occurrences of the rules in d, in the order of the key (first
     matched gate, window offset, rule position in the catalog, indices);
-    ``first_match`` returns the least of them."""
-    if rules is None:
-        rules = builtin_rules()
+    ``first_match`` returns the least of them.  ``rules`` may be any
+    sequence; it is read as a tuple of its rules at the time of the call."""
+    rules = builtin_rules() if rules is None else tuple(rules)
     host = _host(d)
     table = _start_table(rules)
     found: list[tuple[int, int, int, tuple[int, ...]]] = []
@@ -345,8 +357,7 @@ def first_match(d: Diagram, rules: tuple[Rule, ...] | None = None) -> Match | No
     key among the matches that start at the first gate starting any
     match is the least key overall.  Later gates are never scanned.
     """
-    if rules is None:
-        rules = builtin_rules()
+    rules = builtin_rules() if rules is None else tuple(rules)
     host = _host(d)
     table = _start_table(rules)
     found: list[tuple[int, int, int, tuple[int, ...]]] = []
@@ -364,7 +375,17 @@ def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
     pattern, and convexity, re-checked against the dependency structure
     built for this exact diagram object (by whichever of matching or
     applying reached it first).  Returns the mask of the matched gates
-    and the mask of the gates that must run before some matched gate."""
+    and the mask of the gates that must run before some matched gate.
+
+    Convexity is checked index by index, in ascending order, from each
+    matched gate's wire predecessors: adding a gate c above every index
+    of a set S pins a gate if and only if S pinned one already, or some
+    predecessor p of c has p not in S and an ancestor in S.  Proof: on a
+    path from S to c through an unmatched gate, the last gate before c
+    is a predecessor of c; if it is in S, the pinned gate already sat
+    between two gates of S, otherwise it is an unmatched predecessor
+    with an ancestor in S.
+    """
     gates = d.gates
     n = len(gates)
     idx = m.indices
@@ -378,14 +399,13 @@ def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
     picked = tuple((gates[i].kind, gates[i].offset - m.offset) for i in idx)
     if picked not in m.rule._orders:
         raise StaleMatchError("selected gates no longer spell the pattern")
-    _, after, before, _ = _host(d)
-    smask = desc = anc = 0
+    _, pred, before, _ = _host(d)
+    smask = anc = 0
     for i in idx:
+        if _pins(pred, before, i, smask):
+            raise StaleMatchError("an unmatched gate is pinned between matched gates")
         smask |= 1 << i
-        desc |= after[i]
         anc |= before[i]
-    if desc & anc & ~smask:
-        raise StaleMatchError("an unmatched gate is pinned between matched gates")
     return smask, anc
 
 
@@ -393,21 +413,25 @@ def apply_match(d: Diagram, m: Match) -> Diagram:
     """Replace the matched gates by the rule's replacement.
 
     Unmatched gates that must run before some matched gate stay in
-    front of the replacement; everything else follows it.  The result
-    is canonicalized.
+    front of the replacement; everything else follows it.  No gate after
+    the last matched one runs before a matched gate, so only the gates
+    below it are sorted into front and back.  The result is
+    canonicalized.
     """
     smask, anc = _validate_match(d, m)
+    gates = d.gates
+    stop = m.indices[-1] + 1 if m.indices else 0
     front: list[Gate] = []
     back: list[Gate] = []
-    for i, g in enumerate(d.gates):
+    for i in range(stop):
         if smask >> i & 1:
             continue
         if anc >> i & 1:
-            front.append(g)
+            front.append(gates[i])
         else:
-            back.append(g)
+            back.append(gates[i])
     middle = [g.shifted(m.offset) for g in m.rule.rhs.gates]
-    return canonicalize(Diagram(d.width, tuple(front + middle + back)))
+    return canonicalize(Diagram(d.width, tuple(front + middle + back) + gates[stop:]))
 
 
 @dataclass(frozen=True)
@@ -478,8 +502,7 @@ def normalize(
     only once the step count reaches 10 x gates**2, its lower bound, so
     a reduction that ends sooner never pays for the input's measure.
     """
-    if rules is None:
-        rules = builtin_rules()
+    rules = builtin_rules() if rules is None else tuple(rules)
     current = canonicalize(d)
     initial = current
     cap = max_steps
@@ -506,8 +529,7 @@ def all_normal_forms(
 ) -> set[Diagram]:
     """Every normal form reachable from d, by exhaustive search over
     canonical circuits."""
-    if rules is None:
-        rules = builtin_rules()
+    rules = builtin_rules() if rules is None else tuple(rules)
     start = canonicalize(d)
     seen = {start}
     queue = deque([start])

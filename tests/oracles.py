@@ -28,6 +28,7 @@ from rbc.moves import (
     word_compare,
     word_key,
     word_le,
+    word_rank,
 )
 from rbc.rewriting import Rule, _pattern_orders
 from rbc.semantics import evaluate
@@ -160,6 +161,12 @@ def oracle_map_compare(f: MoveMap, g: MoveMap) -> Ordering:
     if Ordering.GREATER in verdicts and Ordering.LESS not in verdicts:
         return Ordering.GREATER
     return Ordering.INCOMPARABLE
+
+
+def oracle_total_rank(f: MoveMap) -> int:
+    """The sum of the suffixes' ranks through ``word_rank``, which
+    re-checks every letter."""
+    return sum(word_rank(s) for s in f.suffixes)
 
 
 def oracle_dependency_closure(d: Diagram) -> tuple[int, ...]:

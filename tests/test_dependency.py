@@ -6,21 +6,25 @@ matcher and normalizer are compared for exact equality with the
 pairwise-overlap implementations in ``oracles.py``.  The matcher and
 ``apply_match`` share one structure per diagram object, so the last tests
 interleave calls on several diagrams and check every result against the
-oracles on the diagram each call was given.
+oracles on the diagram each call was given.  Convexity is checked from
+predecessor links alone; a test runs that check on every small subset of
+small circuits against the closure-based oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rbc.diagram import (
     Diagram,
     Gate,
     GateKind,
+    canonicalize,
     dependency_closure,
     layers,
     not_,
@@ -32,6 +36,7 @@ from rbc.diagram import (
 from rbc.errors import StaleMatchError
 from rbc.rewriting import (
     Rule,
+    _pins,
     apply_match,
     builtin_rules,
     find_matches,
@@ -42,8 +47,10 @@ from rbc.sampling import random_diagram
 
 from .oracles import (
     oracle_apply,
+    oracle_canonicalize,
     oracle_dependency_closure,
     oracle_find_matches,
+    oracle_is_convex,
     oracle_layers,
     oracle_matches,
     oracle_normalize,
@@ -84,7 +91,8 @@ def test_closure_and_layers_equal_oracles_on_large_circuits(d):
     after = dependency_closure(d)
     assert after == oracle_dependency_closure(d)
     assert layers(d) == oracle_layers(d)
-    succ, before = wire_links(d)
+    assert canonicalize(d) == oracle_canonicalize(d)
+    succ, pred, before = wire_links(d)
     n = len(d.gates)
     for j in range(n):
         assert before[j] == sum(1 << i for i in range(n) if after[i] >> j & 1)
@@ -94,6 +102,70 @@ def test_closure_and_layers_equal_oracles_on_large_circuits(d):
             later = [j for j in range(i + 1, n) if w in d.gates[j].support]
             want = later[0] if later and r < g.arity else -1
             assert succ[3 * i + r] == want
+            earlier = [j for j in range(i) if w in d.gates[j].support]
+            want = earlier[-1] if earlier and r < g.arity else -1
+            assert pred[3 * i + r] == want
+
+
+def _convex_by_links(pred, before, indices):
+    """The matcher's convexity check: each index, in ascending order,
+    against the set of the ones before it."""
+    smask = 0
+    for i in indices:
+        if _pins(pred, before, i, smask):
+            return False
+        smask |= 1 << i
+    return True
+
+
+def test_convexity_from_links_equals_closure_oracle_on_every_small_subset():
+    rng = random.Random(2009)
+    checked = convex = 0
+    for _ in range(120):
+        d = random_diagram(rng, max_width=6, max_gates=12)
+        n = len(d.gates)
+        reach = oracle_dependency_closure(d)
+        _, pred, before = wire_links(d)
+        for size in range(1, 5):
+            for indices in itertools.combinations(range(n), size):
+                smask = sum(1 << i for i in indices)
+                want = oracle_is_convex(reach, smask, n)
+                assert _convex_by_links(pred, before, indices) == want, (d, indices)
+                checked += 1
+                convex += want
+    # both verdicts occur often
+    assert checked > 10000 and 0.1 < convex / checked < 0.9
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams(min_width=0, max_width=7, max_gates=14))
+@example(Diagram(0, ()))
+@example(Diagram(3, ()))
+@example(Diagram(1, (not_(0),)))
+def test_canonical_form_and_layers_equal_oracles(d):
+    assert canonicalize(d) == oracle_canonicalize(d)
+    assert layers(d) == oracle_layers(d)
+
+
+def test_every_match_applies_as_the_oracle_on_seeded_circuits():
+    """Every match of both catalogs, on circuits where the gates below
+    the last matched one include both ancestors of the match, which go
+    in front, and unrelated gates, which go behind the replacement."""
+    rng = random.Random(2010)
+    circuits = _large(2010, 2) + [random_diagram(rng, max_width=6, max_gates=25)
+                                  for _ in range(300)]
+    applied = unrelated_before = 0
+    for d in circuits:
+        reach = oracle_dependency_closure(d)
+        for rules in (builtin_rules(), LOOSE_RULES):
+            for m in find_matches(d, rules):
+                _check_apply(d, m)
+                applied += 1
+                smask = sum(1 << i for i in m.indices)
+                unrelated_before += any(
+                    not smask >> i & 1 and not reach[i] & smask
+                    for i in range(m.indices[-1]))
+    assert applied > 1000 and unrelated_before > 100
 
 
 @pytest.mark.parametrize("d", _large(2002, 3), ids=lambda d: f"w{d.width}")

@@ -29,7 +29,7 @@ from rbc.moves import (
     word_rank,
 )
 
-from .oracles import _words_upto, oracle_map_compare, oracle_map_less
+from .oracles import _words_upto, oracle_map_compare, oracle_map_less, oracle_total_rank
 from .strategies import WORDS, move_maps
 
 
@@ -331,6 +331,11 @@ def test_step_chain_checks_meeting_point():
 def test_total_rank_examples():
     assert total_rank(identity_map(4)) == 0
     assert total_rank(MoveMap((1, 0), ("l", "r"))) == 5
+
+
+@given(move_maps(max_n=5, max_suffix=6))
+def test_total_rank_equals_word_rank_oracle(f):
+    assert total_rank(f) == oracle_total_rank(f)
 
 
 @given(st.data())

@@ -28,6 +28,7 @@ from rbc.rewriting import (
     builtin_rules,
     default_step_cap,
     find_matches,
+    first_match,
     normalize,
     validate_rule,
     verify_trace,
@@ -151,6 +152,24 @@ def test_find_matches_respects_custom_catalog():
     only_not = (rule("a_not"),)
     ms = find_matches(d, only_not)
     assert [m.rule_name for m in ms] == ["a_not"]
+
+
+def test_rule_list_appended_between_calls_is_read_again():
+    """A rule list is read afresh on every call, so a rule appended to
+    the same list object after a first call is matched by the next."""
+    d = Diagram(2, (not_(0), not_(0), swap(0), swap(0)))
+    rules = [rule("a_not")]
+    assert [m.rule_name for m in find_matches(d, rules)] == ["a_not"]
+    assert first_match(d, rules).rule_name == "a_not"
+    rules.append(rule("p_swap2"))
+    assert [m.rule_name for m in find_matches(d, rules)] == ["a_not", "p_swap2"]
+    assert [m.rule_name for m in find_matches(d, tuple(rules))] == ["a_not", "p_swap2"]
+    rules[:] = [rule("p_swap2")]
+    assert first_match(d, rules).rule_name == "p_swap2"
+    nf, trace = normalize(d, rules)
+    assert [s.rule_name for s in trace.steps] == ["p_swap2"]
+    assert nf == Diagram(2, (not_(0), not_(0)))
+    assert all_normal_forms(d, rules=rules) == {nf}
 
 
 def test_apply_match_keeps_forced_predecessor_in_front():
