@@ -20,7 +20,6 @@ from .diagram import (
     t3,
 )
 from .errors import (
-    ArityMismatchError,
     InvalidRuleError,
     LengthMismatchError,
     NotComposableError,
@@ -78,7 +77,6 @@ from .rewriting import (
 )
 from .semantics import (
     TruthTable,
-    apply_gate,
     evaluate,
     identity_table,
     is_permutation,

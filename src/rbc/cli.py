@@ -5,12 +5,18 @@ failure, 4 step limit hit, 5 state limit hit.  The RBC_MAX_WIDTH
 environment variable overrides the truth-table width cap; it must lie
 in 0..20, since a table holds 2**width bits per wire.
 
-Every problem with the input ends in exit 2 and one ``error:`` line on
-standard error, never a traceback: a file that cannot be read (missing,
-a directory, no permission), a file that is not UTF-8 text (reported
-with the line of the first bad byte), a malformed circuit or rule file,
-an RBC_MAX_WIDTH that is not an integer or lies outside 0..20 (checked
-before any table is built), and a negative --max-steps or --max-states.
+Commands raise; only ``main`` turns an error into an exit code, through
+one table (``EXIT_CODES``): ``StepLimitExceeded`` exits 4,
+``StateLimitExceeded`` exits 5 and any other ``RbcError`` exits 2, each
+with one ``error:`` line on standard error, never a traceback.  Exit 2
+covers a file that cannot be read (missing, a directory, no
+permission), a file that is not UTF-8 text (reported with the line of
+the first bad byte), a malformed circuit or rule file, one above the
+parser's limits (``files.MAX_WIRES`` = 65536 wires, ``files.MAX_GATES``
+= 1000000 gates), an RBC_MAX_WIDTH that is not an integer or lies
+outside 0..20 (checked before any table is built), a negative
+--max-steps or --max-states, and an eval input that is not a bit string
+of the circuit's width.
 """
 
 from __future__ import annotations
@@ -21,13 +27,7 @@ import sys
 from pathlib import Path
 
 from .diagram import Diagram, sort_key
-from .errors import (
-    ParseError,
-    RbcError,
-    StateLimitExceeded,
-    StepLimitExceeded,
-    WidthMismatchError,
-)
+from .errors import ParseError, RbcError, StateLimitExceeded, StepLimitExceeded
 from .files import format_circuit, parse_circuit, parse_rules
 from .measure import measure, verify_strict
 from .moves import total_rank
@@ -46,10 +46,11 @@ EXIT_VERIFY = 3
 EXIT_STEP_LIMIT = 4
 EXIT_STATE_LIMIT = 5
 
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_PARSE
+# The exit code of each error type; any other RbcError exits EXIT_PARSE.
+EXIT_CODES = {
+    StepLimitExceeded: EXIT_STEP_LIMIT,
+    StateLimitExceeded: EXIT_STATE_LIMIT,
+}
 
 
 class InputError(RbcError):
@@ -119,11 +120,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     d = _load_circuit(args.file)
     raw = args.input
     if not all(ch in "01" for ch in raw):
-        return _fail(f'input "{raw}" is not a bit string')
-    if len(raw) != d.width:
-        raise WidthMismatchError(
-            f"input has {len(raw)} bits, circuit has width {d.width}"
-        )
+        raise InputError(f'input "{raw}" is not a bit string')
     out = evaluate(d, tuple(int(ch) for ch in raw))
     print(f"{raw} -> {bits_to_str(out)}")
     return EXIT_OK
@@ -142,11 +139,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     max_steps = _limit("--max-steps", args.max_steps)
     d = _load_circuit(args.file)
     rules = _load_rules(args.rules)
-    try:
-        nf, trace = normalize(d, rules, max_steps=max_steps)
-    except StepLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_STEP_LIMIT
+    nf, trace = normalize(d, rules, max_steps=max_steps)
     if args.trace:
         for line in trace.lines():
             print(line)
@@ -165,11 +158,7 @@ def cmd_nfs(args: argparse.Namespace) -> int:
     max_states = _limit("--max-states", args.max_states)
     d = _load_circuit(args.file)
     rules = _load_rules(args.rules)
-    try:
-        forms = all_normal_forms(d, max_states=max_states, rules=rules)
-    except StateLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_STATE_LIMIT
+    forms = all_normal_forms(d, max_states=max_states, rules=rules)
     for i, nf in enumerate(sorted(forms, key=sort_key)):
         print(f"nf {i + 1}:")
         print(format_circuit(nf))
@@ -233,12 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RbcError as e:
-        return _fail(str(e))
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CODES.get(type(e), EXIT_PARSE)
 
 
 if __name__ == "__main__":

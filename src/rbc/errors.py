@@ -19,10 +19,6 @@ class WidthMismatchError(RbcError):
     """Two objects that must share a width do not."""
 
 
-class ArityMismatchError(RbcError):
-    """A gate was applied to the wrong number of bits."""
-
-
 class WidthTooLargeError(RbcError):
     """Truth-table enumeration refused: width exceeds the configured cap."""
 

@@ -11,6 +11,11 @@ Rule files hold a sequence of blocks, each with a name of its own::
     <pattern gate lines>
     =>
     <replacement gate lines>
+
+A ``wires`` count above ``MAX_WIRES``, or more than ``MAX_GATES`` gates
+in a circuit or in one side of a rule, is a ``ParseError`` at the
+offending line: the engine keeps per-wire and per-gate lists on every
+rewrite step, so the parser bounds both before anything is built.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from .errors import OutOfRangeError, ParseError
 from .rewriting import Rule, validate_rule
 
 _TOKEN_TO_KIND = {k.value: k for k in GateKind}
+
+MAX_WIRES = 65536
+MAX_GATES = 1_000_000
 
 
 def _meaningful_lines(text: str):
@@ -54,7 +62,15 @@ def _parse_header(lineno: int, line: str) -> int:
         raise ParseError(lineno, f'wire count "{parts[1]}" is not an integer') from None
     if width < 0:
         raise ParseError(lineno, f"wire count {width} is negative")
+    if width > MAX_WIRES:
+        raise ParseError(lineno, f"wire count {width} is above the limit of {MAX_WIRES}")
     return width
+
+
+def _add_gate(gates: list[Gate], lineno: int, line: str) -> None:
+    if len(gates) == MAX_GATES:
+        raise ParseError(lineno, f"more than {MAX_GATES} gates")
+    gates.append(_parse_gate(lineno, line))
 
 
 def parse_circuit(text: str) -> Diagram:
@@ -65,7 +81,7 @@ def parse_circuit(text: str) -> Diagram:
         if width is None:
             width = _parse_header(lineno, line)
         else:
-            gates.append(_parse_gate(lineno, line))
+            _add_gate(gates, lineno, line)
             gate_lines.append(lineno)
     if width is None:
         raise ParseError(1, 'missing "wires <n>" header')
@@ -134,8 +150,7 @@ def parse_rules(text: str) -> tuple[Rule, ...]:
         else:
             if width is None:
                 raise ParseError(lineno, f'expected "wires <n>" before gates')
-            gate = _parse_gate(lineno, line)
-            (lhs if side == "lhs" else rhs).append(gate)
+            _add_gate(lhs if side == "lhs" else rhs, lineno, line)
     finish(0)
     if not rules:
         raise ParseError(1, "no rules found")

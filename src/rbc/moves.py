@@ -24,8 +24,6 @@ from .errors import (
     WidthMismatchError,
 )
 
-LETTERS = "lrt"
-
 # Digit values double as letter weights: t < r < l.
 _DIGIT = {"t": 1, "r": 2, "l": 3}
 

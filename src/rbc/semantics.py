@@ -1,4 +1,4 @@
-"""Boolean meaning of circuits: bit-vector evaluation and truth tables.
+"""Boolean meaning of circuits: truth tables and single-input evaluation.
 
 Wire 0 is the most significant bit when inputs are read off as binary
 strings, so truth-table rows run through inputs 00..0, 00..1, ... in
@@ -10,9 +10,10 @@ row r.  Running a gate over every row at once is then one big-int
 operation on its columns: swap exchanges two columns, not XORs a column
 with all ones, t2 does ``c ^= x`` and t3 does ``c ^= x & y``.  Tables,
 rule checks and trace checks all go through this one kernel; rows are
-only spelled out when a table is printed.  Like the dependency passes,
-the kernel expects a valid diagram, every gate inside ``width`` wires.
-``evaluate`` runs a single input row, for ``rbc eval``.
+only spelled out when a table is printed.  ``evaluate`` (``rbc eval``)
+runs the same kernel on one row: each input bit is a one-row column, so
+it has no width cap.  Like the dependency passes, the kernel expects a
+valid diagram, every gate inside ``width`` wires.
 """
 
 from __future__ import annotations
@@ -22,43 +23,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diagram import Diagram, GateKind
-from .errors import ArityMismatchError, WidthMismatchError, WidthTooLargeError
+from .errors import WidthMismatchError, WidthTooLargeError
 
 BitVec = tuple[int, ...]
 
 # Widest circuit whose 2**n-row table we will enumerate by default.
 DEFAULT_WIDTH_CAP = 12
-
-
-def apply_gate(kind: GateKind, window: Sequence[int]) -> BitVec:
-    """One gate acting on exactly its window of bits."""
-    if len(window) != kind.arity:
-        raise ArityMismatchError(
-            f"{kind.value} takes {kind.arity} bits, got {len(window)}"
-        )
-    if kind is GateKind.SWAP:
-        x, y = window
-        return (y, x)
-    if kind is GateKind.NOT:
-        (x,) = window
-        return (1 - x,)
-    if kind is GateKind.T2:
-        x, c = window
-        return (x, c ^ x)
-    x, y, c = window
-    return (x, y, c ^ (x & y))
-
-
-def evaluate(d: Diagram, bits: Sequence[int]) -> BitVec:
-    if len(bits) != d.width:
-        raise WidthMismatchError(
-            f"input has {len(bits)} bits, circuit has width {d.width}"
-        )
-    state = list(bits)
-    for g in d.gates:
-        lo, hi = g.offset, g.offset + g.arity
-        state[lo:hi] = apply_gate(g.kind, state[lo:hi])
-    return tuple(state)
 
 
 def index_to_bits(index: int, width: int) -> BitVec:
@@ -107,11 +77,10 @@ def _identity_columns(width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def _run(d: Diagram) -> tuple[int, ...]:
-    """Every row of d at once: the identity columns pushed through each
-    gate."""
-    cols = list(_identity_columns(d.width))
-    ones = (1 << (1 << d.width)) - 1
+def _run(d: Diagram, cols: Sequence[int], ones: int) -> tuple[int, ...]:
+    """The columns ``cols`` pushed through each gate of d; ``ones`` has a
+    bit set for every row."""
+    cols = list(cols)
     for g in d.gates:
         o = g.offset
         kind = g.kind
@@ -126,13 +95,22 @@ def _run(d: Diagram) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def evaluate(d: Diagram, bits: Sequence[int]) -> BitVec:
+    if len(bits) != d.width:
+        raise WidthMismatchError(
+            f"input has {len(bits)} bits, circuit has width {d.width}"
+        )
+    return _run(d, bits, 1)
+
+
 def truth_table(d: Diagram, max_width: int | None = None) -> TruthTable:
     cap = DEFAULT_WIDTH_CAP if max_width is None else max_width
     if d.width > cap:
         raise WidthTooLargeError(
             f"width {d.width} exceeds truth-table cap {cap}"
         )
-    return TruthTable(d.width, _run(d))
+    ones = (1 << (1 << d.width)) - 1
+    return TruthTable(d.width, _run(d, _identity_columns(d.width), ones))
 
 
 def identity_table(width: int) -> TruthTable:

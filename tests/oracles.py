@@ -6,10 +6,11 @@ simulating swaps, and map comparison is evaluated pointwise on a finite
 word sample and suffix by suffix through ``word_compare``.  The dependency order is rebuilt by pairwise overlap scans
 (quadratic in the gate count), independent of the per-wire links, and
 the matcher and normalizer built on those scans serve as exact oracles
-on circuits too large for the all-reorderings search.  Truth tables are
-rebuilt one input row at a time with ``evaluate``, and the measure by
-chaining each gate's map padded with identities through ``map_seq``,
-independent of the bit-sliced kernel and the direct fold.
+on circuits too large for the all-reorderings search.  Circuits are
+evaluated one input row at a time, each gate rewriting a tuple of bits
+(``oracle_evaluate``), truth tables are rebuilt from those rows, and the
+measure by chaining each gate's map padded with identities through
+``map_seq``, independent of the bit-sliced kernel and the direct fold.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from rbc.moves import (
     word_rank,
 )
 from rbc.rewriting import Rule, _pattern_orders
-from rbc.semantics import evaluate
 
 
 def all_index_orders(d: Diagram) -> set[tuple[int, ...]]:
@@ -105,10 +105,36 @@ def oracle_src_permutation(d: Diagram) -> tuple[int, ...]:
     return tuple(at)
 
 
+def oracle_apply_gate(kind: GateKind, window: tuple[int, ...]) -> tuple[int, ...]:
+    """One gate acting on exactly its window of bits."""
+    if kind is GateKind.SWAP:
+        x, y = window
+        return (y, x)
+    if kind is GateKind.NOT:
+        (x,) = window
+        return (1 - x,)
+    if kind is GateKind.T2:
+        x, c = window
+        return (x, c ^ x)
+    x, y, c = window
+    return (x, y, c ^ (x & y))
+
+
+def oracle_evaluate(d: Diagram, bits: tuple[int, ...]) -> tuple[int, ...]:
+    """d run on one input, gate by gate on a tuple of bits."""
+    assert len(bits) == d.width
+    state = list(bits)
+    for g in d.gates:
+        lo, hi = g.offset, g.offset + g.arity
+        state[lo:hi] = oracle_apply_gate(g.kind, tuple(state[lo:hi]))
+    return tuple(state)
+
+
 def oracle_rows(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """The truth table row by row: d evaluated on every input, in
     ascending order with wire 0 most significant."""
-    return tuple(evaluate(d, bits) for bits in itertools.product((0, 1), repeat=d.width))
+    return tuple(oracle_evaluate(d, bits)
+                 for bits in itertools.product((0, 1), repeat=d.width))
 
 
 def _padded(g: Gate, width: int) -> MoveMap:

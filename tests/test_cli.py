@@ -305,3 +305,50 @@ def test_duplicate_rule_names_rejected(run):
     assert code == 2
     assert out == ""
     assert err == 'error: line 6: rule "drop" is already defined at line 1\n'
+
+
+@pytest.mark.parametrize("command", ["check", "measure", "normalize", "nfs", "truth"])
+def test_wire_count_above_limit(run, command):
+    code, out, err = run(command, "w.rbc", files={"w.rbc": "wires 100000000000\nnot 0\n"})
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: wire count 100000000000 is above the limit of 65536\n"
+
+
+def test_gate_count_above_limit(run, monkeypatch):
+    import rbc.files
+
+    monkeypatch.setattr(rbc.files, "MAX_GATES", 2)
+    assert run("check", "c.rbc", files={"c.rbc": "wires 1\nnot 0\nnot 0\n"})[0] == 0
+    code, out, err = run("measure", "c.rbc", files={"c.rbc": "wires 1\nnot 0\nnot 0\nnot 0\n"})
+    assert (code, out, err) == (2, "", "error: line 4: more than 2 gates\n")
+
+
+@pytest.mark.parametrize("bits, message", [
+    ("1x", 'input "1x" is not a bit string'),
+    ("", "input has 0 bits, circuit has width 2"),
+    ("101", "input has 3 bits, circuit has width 2"),
+])
+def test_eval_input_errors(run, bits, message):
+    code, out, err = run("eval", "s.rbc", "--input", bits, files={"s.rbc": "wires 2\nswap 0\n"})
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_eval_wide_circuit(run):
+    """eval has no table cap: a 40-wire circuit runs on one input."""
+    text = "wires 40\nnot 0\nt2 0\nswap 38\nt3 37\n"
+    bits = "0" * 37 + "110"
+    code, out, err = run("eval", "w.rbc", "--input", bits, files={"w.rbc": text})
+    assert (code, err) == (0, "")
+    assert out == f"{bits} -> 11{'0' * 35}101\n"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (("normalize", "c.rbc", "--max-steps", "0"), 4, "steps"),
+    (("nfs", "c.rbc", "--max-states", "0"), 5, "circuits"),
+])
+def test_limits_exit_through_main(run, argv, code, text):
+    got, out, err = run(*argv, files={"c.rbc": TWO_NF})
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and text in err

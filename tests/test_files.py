@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from rbc.diagram import Diagram, not_, swap, t2, t3
+from rbc import files
 from rbc.errors import ParseError
 from rbc.files import format_circuit, format_rules, parse_circuit, parse_rules
 from rbc.rewriting import builtin_rules
@@ -149,3 +150,37 @@ def test_parse_rules_rejects_duplicate_names():
         parse_rules(twice)
     assert e.value.line == 8
     assert 'rule "drop" is already defined at line 1' in e.value.message
+
+
+def test_wire_count_limit():
+    assert files.MAX_WIRES == 65536
+    assert parse_circuit("wires 65536\n").width == 65536
+    for count in ("65537", "100000000000"):
+        with pytest.raises(ParseError) as e:
+            parse_circuit(f"# too wide\nwires {count}\nnot 0\n")
+        assert e.value.line == 2
+        assert e.value.message == f"wire count {count} is above the limit of 65536"
+    with pytest.raises(ParseError) as e:
+        parse_rules("rule wide\nwires 65537\nnot 0\nnot 0\n=>\n")
+    assert e.value.line == 2
+    assert "above the limit of 65536" in e.value.message
+
+
+def test_gate_count_limit(monkeypatch):
+    assert files.MAX_GATES == 1_000_000
+    monkeypatch.setattr(files, "MAX_GATES", 3)
+    assert len(parse_circuit("wires 1\nnot 0\nnot 0\nnot 0\n").gates) == 3
+    with pytest.raises(ParseError) as e:
+        parse_circuit("wires 1\nnot 0\nnot 0\n\nnot 0\nnot 0\nnot 0\n")
+    assert e.value.line == 6
+    assert e.value.message == "more than 3 gates"
+
+    # Each side of a rule is bounded on its own.
+    (r,) = parse_rules("rule r\nwires 1\nnot 0\nnot 0\nnot 0\n=>\nnot 0\n")
+    assert len(r.lhs.gates) == 3
+    with pytest.raises(ParseError) as e:
+        parse_rules("rule r\nwires 1\nnot 0\nnot 0\nnot 0\nnot 0\n=>\n")
+    assert e.value.line == 6
+    with pytest.raises(ParseError) as e:
+        parse_rules("rule r\nwires 2\nswap 0\n=>\nnot 0\nnot 0\nnot 0\nnot 0\n")
+    assert e.value.line == 8
