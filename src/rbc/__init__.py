@@ -20,6 +20,7 @@ from .diagram import (
     t3,
 )
 from .errors import (
+    InputError,
     InvalidRuleError,
     LengthMismatchError,
     NotComposableError,

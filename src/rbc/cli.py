@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 parse or validation problem, 3 verification
 failure, 4 step limit hit, 5 state limit hit.  The RBC_MAX_WIDTH
-environment variable overrides the truth-table width cap; it must lie
-in 0..20, since a table holds 2**width bits per wire.
+environment variable overrides the truth-table width cap of ``truth``
+only; it must lie in 0..20, since a table holds 2**width bits per wire.
+``normalize --verify`` keeps the default cap of 12 wires.
 
 Commands raise; only ``main`` turns an error into an exit code, through
 one table (``EXIT_CODES``): ``StepLimitExceeded`` exits 4,
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 
 from .diagram import Diagram, sort_key
-from .errors import ParseError, RbcError, StateLimitExceeded, StepLimitExceeded
+from .errors import InputError, ParseError, RbcError, StateLimitExceeded, StepLimitExceeded
 from .files import format_circuit, parse_circuit, parse_rules
 from .measure import measure, verify_strict
 from .moves import total_rank
@@ -51,11 +52,6 @@ EXIT_CODES = {
     StepLimitExceeded: EXIT_STEP_LIMIT,
     StateLimitExceeded: EXIT_STATE_LIMIT,
 }
-
-
-class InputError(RbcError):
-    """An input file that cannot be read, or an option or environment
-    setting out of range."""
 
 
 def _read(path: str) -> str:
@@ -140,18 +136,18 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     d = _load_circuit(args.file)
     rules = _load_rules(args.rules)
     nf, trace = normalize(d, rules, max_steps=max_steps)
+    # Checked before anything is printed, so that a check that cannot
+    # run (a circuit above the table cap) leaves no uncertified output.
+    report = verify_trace(trace) if args.verify else None
     if args.trace:
         for line in trace.lines():
             print(line)
     print(format_circuit(nf))
-    rc = EXIT_OK
-    if args.verify:
-        report = verify_trace(trace)
-        for line in report.lines():
-            print(line)
-        if not report.ok:
-            rc = EXIT_VERIFY
-    return rc
+    if report is None:
+        return EXIT_OK
+    for line in report.lines():
+        print(line)
+    return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 def cmd_nfs(args: argparse.Namespace) -> int:

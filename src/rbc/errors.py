@@ -51,6 +51,11 @@ class StateLimitExceeded(RbcError):
     """Normal-form search visited more states than allowed."""
 
 
+class InputError(RbcError):
+    """An input that cannot be read or lies out of range: a file, an
+    evaluation input, or an option or environment setting."""
+
+
 class ParseError(RbcError):
     """A circuit or rule file failed to parse; carries the 1-based line number."""
 

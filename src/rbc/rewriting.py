@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .diagram import (
@@ -21,7 +22,6 @@ from .diagram import (
     Gate,
     GateKind,
     canonicalize,
-    gates_overlap,
     not_,
     swap,
     t2,
@@ -41,10 +41,16 @@ from .moves import Ordering, map_compare, total_rank
 from .semantics import truth_table
 
 
-# One pattern slot for the matcher: the gate's kind and window offset,
-# then the latest earlier slot sharing a wire with it and which of that
-# slot's wires it is (-1, -1 for none).
-_Slot = tuple[GateKind, int, int, int]
+# A link of a pattern gate to a gate reached before it, (forward, earlier
+# step, that gate's wire slot): its host gate must be the next (forward)
+# or previous host gate on that wire after or before the earlier step's.
+_Link = tuple[bool, int, int]
+# One step of a pattern walk: the kind and window offset of the pattern
+# gate it reaches, the link that finds its host gate, then the other
+# links to gates reached before it, which that host gate must satisfy.
+# A step without links (earlier step -1) starts a part of the pattern
+# that shares no wire with the gates reached so far.
+_Step = tuple[GateKind, int, bool, int, int, tuple[_Link, ...]]
 
 
 @dataclass(frozen=True)
@@ -69,38 +75,54 @@ class Rule:
         return self.lhs.width
 
     @functools.cached_property
-    def _plans(self) -> tuple[tuple[_Slot, ...], ...]:
-        """Each pattern order, with each slot linked to the latest earlier
-        slot on one of its wires.
+    def _walks(self) -> tuple[tuple[_Step, ...], ...]:
+        """One walk per source gate of the pattern (a gate with no earlier
+        gate on its wires), starting there.
 
-        In a convex match, the host gate of a linked slot is the next host
-        gate on that wire after the linked slot's host gate: any gate in
-        between would be pinned between two matched gates.  Kept on the
-        rule: looking plans up by pattern would hash the pattern on every
-        ``find_matches`` call.
+        Each step reaches the least pattern gate linked to a gate already
+        reached, or, when there is none, the least gate not yet reached.
+        In a convex match, the next (previous) host gate on a wire of a
+        matched gate is the host gate of the next (previous) pattern gate
+        on that wire, when the pattern has one: any gate in between would
+        be pinned between two matched gates.  So the linked steps leave
+        no choice, and only a part of the pattern that shares no wire
+        with the gates reached before it is searched for.
+        Source gates share no wire, so there are at most ``width`` walks.
         """
-        plans = []
-        for order in _pattern_orders(self.lhs):
-            slots: list[_Slot] = []
-            for s, g in enumerate(order):
-                link = wire = -1
-                for t in range(s - 1, -1, -1):
-                    if gates_overlap(order[t], g):
-                        link = t
-                        wire = max(order[t].offset, g.offset) - order[t].offset
-                        break
-                slots.append((g.kind, g.offset, link, wire))
-            if slots:
-                plans.append(tuple(slots))
-        return tuple(plans)
+        import heapq  # here, so that start-up, which builds no walk, skips it
 
-    @functools.cached_property
-    def _orders(self) -> frozenset[tuple[tuple[GateKind, int], ...]]:
-        """Every pattern order as (kind, offset) pairs.  Kept on the rule
-        so that checking a match hashes only the selected gates, never
-        the pattern."""
-        return frozenset(tuple((g.kind, g.offset) for g in order)
-                         for order in _pattern_orders(self.lhs))
+        gates = self.lhs.gates
+        succ, pred, _ = wire_links(self.lhs)
+        walks = []
+        for src in range(len(gates)):
+            if max(pred[3 * src:3 * src + 3]) >= 0:
+                continue
+            step_of: dict[int, int] = {}
+            steps: list[_Step] = []
+            heap = [src]
+            unreached = 0
+            while len(steps) < len(gates):
+                if heap:
+                    q = heapq.heappop(heap)
+                    if q in step_of:
+                        continue
+                else:
+                    while unreached in step_of:
+                        unreached += 1
+                    q = unreached
+                g = gates[q]
+                links: list[_Link] = []
+                for r in range(g.kind.arity):
+                    for forward, p in ((True, pred[3 * q + r]), (False, succ[3 * q + r])):
+                        if p in step_of:
+                            links.append((forward, step_of[p], g.offset + r - gates[p].offset))
+                        elif p >= 0:
+                            heapq.heappush(heap, p)
+                step_of[q] = len(steps)
+                steps.append((g.kind, g.offset, *(links[0] if links else (True, -1, -1)),
+                              tuple(links[1:])))
+            walks.append(tuple(steps))
+        return tuple(walks)
 
 
 def validate_rule(rule: Rule) -> None:
@@ -187,38 +209,6 @@ class Match:
         return self.rule.name
 
 
-def _pattern_orders(lhs: Diagram) -> tuple[tuple[Gate, ...], ...]:
-    """Every gate order the pattern can appear in, deduplicated."""
-    gates = lhs.gates
-    n = len(gates)
-    if n == 0:
-        return ((),)
-    preds = [0] * n
-    for j in range(n):
-        for i in range(j):
-            if gates_overlap(gates[i], gates[j]):
-                preds[j] |= 1 << i
-    out: set[tuple[Gate, ...]] = set()
-    acc: list[Gate] = []
-
-    def rec(remaining: int) -> None:
-        if remaining == 0:
-            out.add(tuple(acc))
-            return
-        m = remaining
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            if preds[i] & remaining == 0:
-                acc.append(gates[i])
-                rec(remaining ^ (1 << i))
-                acc.pop()
-
-    rec((1 << n) - 1)
-    return tuple(sorted(out, key=lambda t: [g.sort_key() for g in t]))
-
-
 # The dependency structure of one diagram, (gates, pred, before, succ):
 # the wire links both ways and the ancestor masks, from one forward pass.
 _Host = tuple[tuple[Gate, ...], list[int], list[int], list[int]]
@@ -249,20 +239,20 @@ def _host(d: Diagram) -> _Host:
 
 
 def _start_table(rules: tuple[Rule, ...]) -> dict:
-    """Every plan of the catalog grouped by the kind of its first slot,
-    in catalog order, as (rule index, rule width, first offset, second
-    slot's kind, offset and wire on the first slot (-1 when it is not
-    linked to it), plan)."""
+    """Every walk of the catalog grouped by the kind of its start gate,
+    in catalog order, as (rule index, rule width, start offset, second
+    step's kind, offset and wire on the start gate (-1 when it is not
+    linked to it), walk)."""
     global _starts_memo
     memo = _starts_memo
     if memo[0] is rules:
         return memo[1]
     table: dict[GateKind, list] = {}
     for ri, rule in enumerate(rules):
-        for plan in rule._plans:
-            kind1, offset1, _, wire1 = plan[1] if len(plan) > 1 else (None, 0, -1, -1)
-            table.setdefault(plan[0][0], []).append(
-                (ri, rule.width, plan[0][1], kind1, offset1, wire1, plan))
+        for walk in rule._walks:
+            kind1, offset1, _, _, wire1, _ = walk[1] if len(walk) > 1 else (None, 0, 1, -1, -1, ())
+            table.setdefault(walk[0][0], []).append(
+                (ri, rule.width, walk[0][1], kind1, offset1, wire1, walk))
     _starts_memo = (rules, table)
     return table
 
@@ -276,53 +266,59 @@ def _pins(pred: list[int], before: list[int], c: int, smask: int) -> bool:
     return False
 
 
-def _extend(host, plan, k, chosen, smask, found, ri) -> None:
-    """Fill the slots of plan after the host gates in chosen, appending
-    each convex completion to found; smask is the mask of chosen.
+def _extend(host, walk, k, i0, chosen, found, ri) -> None:
+    """Follow the steps of walk after the host gates in chosen, every
+    host gate above i0, the start gate's; append each convex completion
+    to found as (window offset, rule index, ascending indices).
 
-    Every slot takes a gate c above all chosen indices, so convexity is
-    checked from c's wire predecessors alone (``_pins``): adding c to a
-    convex set S pins a gate if and only if some predecessor p of c has
-    p not in S and an ancestor in S.  Proof: on a path from S to c
-    through an unmatched gate, the last gate before c is a predecessor
-    of c; if it is in S, the pinned gate already sat between two gates
-    of S, otherwise it is an unmatched predecessor with an ancestor in S.
+    Convexity is checked index by index, in ascending order, from each
+    gate's wire predecessors (``_pins``): adding a gate c above every
+    index of a convex set S pins a gate if and only if some predecessor
+    p of c has p not in S and an ancestor in S.  Proof: on a path from S
+    to c through an unmatched gate, the last gate before c is a
+    predecessor of c; if it is in S, the pinned gate already sat between
+    two gates of S, otherwise it is an unmatched predecessor with an
+    ancestor in S.
     """
     gates, pred, before, succ = host
-    for slot in range(len(chosen), len(plan)):
-        kind, offset, link, wire = plan[slot]
-        if link < 0:
-            for c in range(chosen[-1] + 1, len(gates)):
+    for s in range(len(chosen), len(walk)):
+        kind, offset, forward, a, r, checks = walk[s]
+        if a < 0:
+            for c in range(i0 + 1, len(gates)):
                 g = gates[c]
-                if (g.kind is kind and g.offset == offset + k
-                        and not _pins(pred, before, c, smask)):
-                    _extend(host, plan, k, chosen + (c,), smask | 1 << c, found, ri)
+                if g.kind is kind and g.offset == offset + k:
+                    _extend(host, walk, k, i0, chosen + (c,), found, ri)
             return
-        c = succ[3 * chosen[link] + wire]
-        if c <= chosen[-1]:
+        c = (succ if forward else pred)[3 * chosen[a] + r]
+        if c <= i0:
             return
         g = gates[c]
         if g.kind is not kind or g.offset != offset + k:
             return
-        # A pinned gate lies below c, so no later slot can take it in.
+        for forward, a, r in checks:
+            if (succ if forward else pred)[3 * chosen[a] + r] != c:
+                return
+        chosen += (c,)
+    idx = tuple(sorted(chosen))
+    smask = 1 << i0
+    for c in idx[1:]:
         if _pins(pred, before, c, smask):
             return
-        chosen += (c,)
         smask |= 1 << c
-    found.append((chosen[0], k, ri, chosen))
+    found.append((k, ri, idx))
 
 
 def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> None:
     """Append to found every match whose first host gate is i0, as
-    (i0, window offset, rule index, indices)."""
+    (window offset, rule index, indices)."""
     gates, _, _, succ = host
     g0 = gates[i0]
-    for ri, rw, offset0, kind1, offset1, wire1, plan in table.get(g0.kind, ()):
+    for ri, rw, offset0, kind1, offset1, wire1, walk in table.get(g0.kind, ()):
         k = g0.offset - offset0
         if k < 0 or k + rw > width:
             continue
-        # Most starts fail at the second slot when it is linked to the
-        # first; test that here, before paying for a call.
+        # Most starts fail at the second step when it is linked to the
+        # start; test that here, before paying for a call.
         if wire1 >= 0:
             c = succ[3 * i0 + wire1]
             if c < 0:
@@ -330,80 +326,69 @@ def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> N
             g = gates[c]
             if g.kind is not kind1 or g.offset != offset1 + k:
                 continue
-        _extend(host, plan, k, (i0,), 1 << i0, found, ri)
+        _extend(host, walk, k, i0, (i0,), found, ri)
+
+
+def _scan(d: Diagram, rules) -> Iterator[Match]:
+    """The matches of the rules in d, host gate by host gate: those whose
+    first matched gate is i0, sorted, before any whose first gate is
+    above i0.  Every match's indices ascend, so this is the order of
+    ``find_matches``, and a caller that stops early never scans the
+    later gates.  ``rules`` is read as a tuple of its rules at the first
+    step."""
+    rules = builtin_rules() if rules is None else tuple(rules)
+    host = _host(d)
+    table = _start_table(rules)
+    found: list[tuple[int, int, tuple[int, ...]]] = []
+    for i0 in range(len(d.gates)):
+        _matches_at(host, d.width, table, i0, found)
+        if found:
+            found.sort()
+            for k, ri, idx in found:
+                yield Match(rules[ri], k, idx)
+            found.clear()
 
 
 def find_matches(d: Diagram, rules: tuple[Rule, ...] | None = None) -> list[Match]:
     """All occurrences of the rules in d, in the order of the key (first
-    matched gate, window offset, rule position in the catalog, indices);
-    ``first_match`` returns the least of them.  ``rules`` may be any
-    sequence; it is read as a tuple of its rules at the time of the call."""
-    rules = builtin_rules() if rules is None else tuple(rules)
-    host = _host(d)
-    table = _start_table(rules)
-    found: list[tuple[int, int, int, tuple[int, ...]]] = []
-    for i0 in range(len(d.gates)):
-        _matches_at(host, d.width, table, i0, found)
-    found.sort()
-    return [Match(rules[ri], k, idx) for _, k, ri, idx in found]
+    matched gate, window offset, rule position in the catalog, indices).
+    ``rules`` may be any sequence; it is read as a tuple of its rules at
+    the time of the call."""
+    return list(_scan(d, rules))
 
 
 def first_match(d: Diagram, rules: tuple[Rule, ...] | None = None) -> Match | None:
     """The first match of ``find_matches(d, rules)``, or None when there
-    is none.
-
-    Every match's indices ascend, so its first matched gate is its least
-    index: the scan goes through the host gates in order, and the least
-    key among the matches that start at the first gate starting any
-    match is the least key overall.  Later gates are never scanned.
-    """
-    rules = builtin_rules() if rules is None else tuple(rules)
-    host = _host(d)
-    table = _start_table(rules)
-    found: list[tuple[int, int, int, tuple[int, ...]]] = []
-    for i0 in range(len(d.gates)):
-        _matches_at(host, d.width, table, i0, found)
-        if found:
-            _, k, ri, idx = min(found)
-            return Match(rules[ri], k, idx)
-    return None
+    is none; gates after the first one that starts a match are never
+    scanned."""
+    return next(_scan(d, rules), None)
 
 
 def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
-    """Check m against d: the pattern length, indices ascending and in
-    range, the window, that the selected gates spell an order of the
-    pattern, and convexity, re-checked against the dependency structure
-    built for this exact diagram object (by whichever of matching or
-    applying reached it first).  Returns the mask of the matched gates
-    and the mask of the gates that must run before some matched gate.
-
-    Convexity is checked index by index, in ascending order, from each
-    matched gate's wire predecessors: adding a gate c above every index
-    of a set S pins a gate if and only if S pinned one already, or some
-    predecessor p of c has p not in S and an ancestor in S.  Proof: on a
-    path from S to c through an unmatched gate, the last gate before c
-    is a predecessor of c; if it is in S, the pinned gate already sat
-    between two gates of S, otherwise it is an unmatched predecessor
-    with an ancestor in S.
-    """
-    gates = d.gates
-    n = len(gates)
-    idx = m.indices
-    if len(idx) != len(m.rule.lhs.gates):
-        raise StaleMatchError(f"match selects {len(idx)} gates, pattern has "
-                              f"{len(m.rule.lhs.gates)}")
-    if any(i < 0 or i >= n for i in idx) or list(idx) != sorted(set(idx)):
+    """Check m against d: indices ascending and in range, the window,
+    and that replaying the rule's walks from the first matched gate
+    yields exactly these indices, convexity included, on the dependency
+    structure built for this exact diagram object (by whichever of
+    matching or applying reached it first).  Returns the mask of the
+    matched gates and the mask of the gates that must run before some
+    matched gate."""
+    n = len(d.gates)
+    idx = tuple(m.indices)
+    if list(idx) != sorted(set(idx)) or not idx or idx[0] < 0 or idx[-1] >= n:
         raise StaleMatchError(f"gate indices {idx} not ascending within 0..{n - 1}")
     if m.offset < 0 or m.offset + m.rule.width > d.width:
         raise StaleMatchError(f"window at {m.offset} falls outside width {d.width}")
-    picked = tuple((gates[i].kind, gates[i].offset - m.offset) for i in idx)
-    if picked not in m.rule._orders:
-        raise StaleMatchError("selected gates no longer spell the pattern")
-    _, pred, before, _ = _host(d)
+    host = _host(d)
+    g0 = d.gates[idx[0]]
+    found: list[tuple[int, int, tuple[int, ...]]] = []
+    for walk in m.rule._walks:
+        if walk[0][0] is g0.kind and walk[0][1] + m.offset == g0.offset:
+            _extend(host, walk, m.offset, idx[0], idx[:1], found, 0)
+    if (m.offset, 0, idx) not in found:
+        raise StaleMatchError("selected gates are not a convex occurrence of the pattern")
+    before = host[2]
     smask = anc = 0
     for i in idx:
-        if _pins(pred, before, i, smask):
-            raise StaleMatchError("an unmatched gate is pinned between matched gates")
         smask |= 1 << i
         anc |= before[i]
     return smask, anc
@@ -420,7 +405,7 @@ def apply_match(d: Diagram, m: Match) -> Diagram:
     """
     smask, anc = _validate_match(d, m)
     gates = d.gates
-    stop = m.indices[-1] + 1 if m.indices else 0
+    stop = m.indices[-1] + 1
     front: list[Gate] = []
     back: list[Gate] = []
     for i in range(stop):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diagram import Diagram, GateKind
-from .errors import WidthMismatchError, WidthTooLargeError
+from .errors import InputError, WidthMismatchError, WidthTooLargeError
 
 BitVec = tuple[int, ...]
 
@@ -100,6 +100,8 @@ def evaluate(d: Diagram, bits: Sequence[int]) -> BitVec:
         raise WidthMismatchError(
             f"input has {len(bits)} bits, circuit has width {d.width}"
         )
+    if any(b not in (0, 1) for b in bits):
+        raise InputError(f"input {tuple(bits)} holds a value other than 0 and 1")
     return _run(d, bits, 1)
 
 

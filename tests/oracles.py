@@ -31,7 +31,7 @@ from rbc.moves import (
     word_le,
     word_rank,
 )
-from rbc.rewriting import Rule, _pattern_orders
+from rbc.rewriting import Rule
 
 
 def all_index_orders(d: Diagram) -> set[tuple[int, ...]]:
@@ -284,7 +284,7 @@ def oracle_find_matches(d: Diagram, rules) -> list[tuple[str, int, tuple[int, ..
         rw = rule.width
         if rw > d.width:
             continue
-        for order in _pattern_orders(rule.lhs):
+        for order in all_gate_orders(rule.lhs):
             if not order:
                 continue
             for k in range(d.width - rw + 1):

@@ -153,6 +153,14 @@ def test_normalize_trace_and_verify(run):
     )
 
 
+@pytest.mark.parametrize("flags", [(), ("--trace",)])
+def test_normalize_verify_above_table_cap_prints_nothing(run, flags):
+    text = "wires 13\nnot 12\nnot 12\nswap 0\n"
+    code, out, err = run("normalize", "w.rbc", "--verify", *flags, files={"w.rbc": text})
+    assert (code, out) == (2, "")
+    assert err == "error: width 13 exceeds truth-table cap 12\n"
+
+
 def test_normalize_step_limit_exit_code(run):
     code, _, err = run(
         "normalize", "f.rbc", "--max-steps", "1", files={"f.rbc": LADDER_T3}

@@ -35,6 +35,7 @@ from rbc.diagram import (
 )
 from rbc.errors import StaleMatchError
 from rbc.rewriting import (
+    Match,
     Rule,
     _pins,
     apply_match,
@@ -59,9 +60,10 @@ from .strategies import diagrams
 
 SIZES = [(16, 120), (24, 200)]
 
-# Patterns whose slots do not all share a wire with an earlier slot, so
-# the matcher has to search instead of following links.  Only matching
-# is exercised; these are not valid rewrite rules.
+# Patterns with two source gates each, whose walks need a scan step (a
+# part sharing no wire with the rest) or a previous-gate step, so the
+# matcher does more than follow next-gate links.  Only matching is
+# exercised; these are not valid rewrite rules.
 LOOSE_RULES = (
     Rule("two_nots", Diagram(3, (not_(0), not_(2))), Diagram(3, ())),
     Rule("bridge", Diagram(3, (swap(0), not_(2), swap(0))), Diagram(3, ())),
@@ -276,3 +278,52 @@ def test_match_applied_to_another_diagram_is_rechecked():
     with pytest.raises(StaleMatchError):
         apply_match(pinned, m)
     _check_apply(found_on, m)
+
+
+def test_shifted_index_of_a_loose_match_is_rejected():
+    """fan and wide are matched through a previous-gate step in each of
+    their walks.  Moving one index of a match one gate up or down, often
+    onto a copy of the matched gate, gives a stale match unless the
+    result is itself a match."""
+    rules = tuple(r for r in LOOSE_RULES if r.name in ("fan", "wide"))
+    for r in rules:
+        assert len(r._walks) == 2
+        assert all(any(not forward and a >= 0 for _, _, forward, a, _, _ in walk)
+                   for walk in r._walks)
+    rng = random.Random(2008)
+    shifted = same_gate = 0
+    for _ in range(600):
+        # mostly pattern gates at random window offsets, so that matches
+        # and neighbouring copies of matched gates are common
+        r = rng.choice(rules)
+        width = rng.randint(r.width, 6)
+        gates = [rng.choice(r.lhs.gates).shifted(rng.randint(0, width - r.width))
+                 for _ in range(rng.randint(3, 12))]
+        d = canonicalize(Diagram(width, tuple(gates)))
+        ms = find_matches(d, rules)
+        valid = {(m.rule_name, m.offset, m.indices) for m in ms}
+        for m in ms:
+            for j, i in enumerate(m.indices):
+                for c in (i - 1, i + 1):
+                    idx = m.indices[:j] + (c,) + m.indices[j + 1:]
+                    if (m.rule_name, m.offset, idx) in valid:
+                        continue
+                    with pytest.raises(StaleMatchError):
+                        apply_match(d, Match(m.rule, m.offset, idx))
+                    shifted += 1
+                    same_gate += 0 <= c < len(d.gates) and d.gates[c] == d.gates[i]
+    assert shifted > 600 and same_gate > 50
+
+
+def test_links_off_the_walk_are_checked():
+    """The walk from not 3 reaches t3 1, then t3 0 and swap 0, each by
+    one link.  In the host, t3 1 runs before swap 0 on wire 1, which only
+    the other links of swap 0 show: the two circuits are not reorderings
+    of each other, so the host holds no match."""
+    pattern = Diagram(4, (not_(3), t3(0), swap(0), t3(1)))
+    r = Rule("crossed", pattern, Diagram(4, ()))
+    host = Diagram(4, (not_(3), t3(0), t3(1), swap(0)))
+    assert _match_tuples(host, (r,)) == oracle_find_matches(host, (r,)) == []
+    assert _match_tuples(pattern, (r,)) == [("crossed", 0, (0, 1, 2, 3))]
+    with pytest.raises(StaleMatchError):
+        apply_match(host, Match(r, 0, (0, 1, 2, 3)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbc import cli
 from rbc.diagram import Diagram, canonicalize, equivalent, identity, not_, swap, t2, t3
 from rbc.errors import (
     InvalidRuleError,
@@ -16,6 +17,7 @@ from rbc.errors import (
     StateLimitExceeded,
     StepLimitExceeded,
 )
+from rbc.files import format_circuit, parse_rules
 from rbc.measure import measure
 from rbc.moves import Ordering, map_compare, total_rank
 from rbc.rewriting import (
@@ -77,6 +79,7 @@ def test_builtin_catalog_shape():
     for r in builtin_rules():
         validate_rule(r)  # idempotent; already ran at construction
         assert r.width <= 4
+        assert len(r._walks) == 1  # one source gate: one walk per start
 
 
 def test_builtin_rules_cached():
@@ -207,10 +210,40 @@ def test_apply_match_rejects_stale_matches():
     # right count, wrong gates
     with pytest.raises(StaleMatchError):
         apply_match(LADDER_T3, Match(m.rule, m.offset, (0, 1, 2, 3)))
+    # duplicate, empty and negative indices
+    for indices in ((1, 1, 3, 4), (), (-1, 2, 3, 4)):
+        with pytest.raises(StaleMatchError):
+            apply_match(LADDER_T3, Match(m.rule, m.offset, indices))
     # pinned spectator between matched gates
     pinned = Diagram(2, (swap(0), t2(0), swap(0)))
     with pytest.raises(StaleMatchError):
         apply_match(pinned, Match(rule("p_swap2"), 0, (0, 2)))
+
+
+def _pair_rule_text(width: int) -> str:
+    """A rule cancelling a pair of nots on each of width wires: 2 x width
+    gates whose orders number (2 x width)! / 2**width."""
+    pairs = "".join(f"not {j}\nnot {j}\n" for j in range(width))
+    return f"rule pairs{width}\nwires {width}\n{pairs}=>\n"
+
+
+@pytest.mark.parametrize("width", [6, 8])
+def test_wide_custom_pattern_is_matched_through_its_links(width, tmp_path, capsys):
+    (r,) = parse_rules(_pair_rule_text(width))
+    assert len(r._walks) <= r.width
+    # first nots ascending, second nots descending: one host order of the
+    # pattern among (2 x width)! / 2**width
+    gates = [not_(j) for j in range(width)] + [not_(j) for j in reversed(range(width))]
+    host = Diagram(width, tuple(gates))
+    nf, trace = normalize(host, (r,))
+    assert nf == Diagram(width, ())
+    assert [s.match.indices for s in trace.steps] == [tuple(range(2 * width))]
+    rules_file = tmp_path / "pairs.rules"
+    rules_file.write_text(_pair_rule_text(width))
+    circuit = tmp_path / "host.rbc"
+    circuit.write_text(format_circuit(host))
+    assert cli.main(["normalize", str(circuit), "--rules", str(rules_file)]) == 0
+    assert capsys.readouterr().out == f"wires {width}\n"
 
 
 def test_normalize_double_not():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rbc.diagram import Diagram, Gate, GateKind, identity, not_, swap, t2, t3
-from rbc.errors import WidthMismatchError, WidthTooLargeError
+from rbc.errors import InputError, WidthMismatchError, WidthTooLargeError
 from rbc.rewriting import normalize
 from rbc.semantics import (
     TruthTable,
@@ -43,6 +43,14 @@ def test_evaluate_swapped_toffoli_both_orders():
 def test_evaluate_width_checked():
     with pytest.raises(WidthMismatchError):
         evaluate(identity(3), (0, 1))
+
+
+@pytest.mark.parametrize("bits", [(2,), (-1,), (3,)])
+def test_evaluate_rejects_values_other_than_bits(bits):
+    with pytest.raises(InputError):
+        evaluate(Diagram(1, (not_(0),)), bits)
+    with pytest.raises(InputError):
+        evaluate(Diagram(2, (swap(0),)), (0,) + bits)
 
 
 def test_truth_table_row_order():
