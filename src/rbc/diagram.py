@@ -9,13 +9,12 @@ unique representative of that class (greedy earliest-layer form) and
 
 The before/after order between gates is carried by the wires: a gate
 must run after the previous gate on each of its wires, and nothing else
-constrains it.  Closure, ancestors, the links between consecutive gates
-on a wire, and layering are each one pass over the gate list that keeps
-one entry per wire, so they are linear in the number of gates (times
-the cost of an OR on bitmasks one bit per gate).  ``wire_links`` gives
-the links both ways (next and previous gate on each wire) and the
-ancestor masks in one forward pass; that is all the rewrite engine
-reads, and ``dependency_closure`` (the descendants) is a utility.
+constrains it.  ``wire_links`` gives those links both ways (the next
+and the previous gate on each wire) in one forward pass that keeps one
+entry per wire, so it is linear in the number of gates.  It is the only
+pass that knows the per-wire order of dependencies, and it is all the
+rewrite engine reads.  ``dependency_closure`` (the descendants of each
+gate, as bitmasks) folds its next-gate links backwards and is a utility.
 ``canonicalize`` is one per-wire depth pass and one sort of the gates
 on an int key.  They expect a valid diagram, every gate inside
 ``width`` wires.
@@ -213,41 +212,33 @@ def equivalent(d1: Diagram, d2: Diagram) -> bool:
 def dependency_closure(d: Diagram) -> tuple[int, ...]:
     """Per gate index i, a bitmask of all indices that must run after i.
 
-    One backward pass: the gates after i are the next gate on each of
-    its wires, plus everything after those.
+    The ``wire_links`` next-gate links folded backwards: the gates after
+    i are the next gate on each of its wires, plus everything after
+    those.
     """
-    gates = d.gates
-    n = len(gates)
-    after = [0] * n
-    first = [-1] * d.width  # earliest gate seen so far on each wire
-    for i in range(n - 1, -1, -1):
-        g = gates[i]
-        lo = g.offset
+    succ, _ = wire_links(d)
+    after = [0] * len(d.gates)
+    for i in range(len(after) - 1, -1, -1):
         acc = 0
-        for w in range(lo, lo + g.kind.arity):
-            j = first[w]
+        for j in succ[3 * i:3 * i + 3]:
             if j >= 0:
                 acc |= (1 << j) | after[j]
-            first[w] = i
         after[i] = acc
     return tuple(after)
 
 
-def wire_links(d: Diagram) -> tuple[list[int], list[int], list[int]]:
-    """The per-wire links both ways and the ancestor masks, in one
-    forward pass.
+def wire_links(d: Diagram) -> tuple[list[int], list[int]]:
+    """The per-wire links both ways, in one forward pass.
 
-    Returns ``(succ, pred, before)``.  ``succ[3 * i + r]`` is the next
-    gate after gate i on wire ``offset + r`` of gate i, and
+    Returns ``(succ, pred)``.  ``succ[3 * i + r]`` is the next gate
+    after gate i on wire ``offset + r`` of gate i, and
     ``pred[3 * i + r]`` the previous one, or -1 when there is none (or
-    gate i has fewer than r + 1 wires).  ``before[i]`` is the bitmask of
-    all indices that must run before i, the mirror of
-    ``dependency_closure``.
+    gate i has fewer than r + 1 wires).  Indices only grow along
+    ``succ``.
     """
     gates = d.gates
     succ = [-1] * (3 * len(gates))
     pred = succ[:]
-    before = [0] * len(gates)
     last = [-1] * d.width  # link slot of the latest gate on each wire
     # One branch per wire, unrolled: a loop over each gate's wires costs
     # more than the links themselves.
@@ -257,31 +248,22 @@ def wire_links(d: Diagram) -> tuple[list[int], list[int], list[int]]:
         slot = last[lo]
         if slot >= 0:
             succ[slot] = j
-            i = slot // 3
-            pred[base] = i
-            acc = (1 << i) | before[i]
-        else:
-            acc = 0
+            pred[base] = slot // 3
         last[lo] = base
         arity = g.kind.arity
         if arity > 1:
             slot = last[lo + 1]
             if slot >= 0:
                 succ[slot] = j
-                i = slot // 3
-                pred[base + 1] = i
-                acc |= (1 << i) | before[i]
+                pred[base + 1] = slot // 3
             last[lo + 1] = base + 1
             if arity > 2:
                 slot = last[lo + 2]
                 if slot >= 0:
                     succ[slot] = j
-                    i = slot // 3
-                    pred[base + 2] = i
-                    acc |= (1 << i) | before[i]
+                    pred[base + 2] = slot // 3
                 last[lo + 2] = base + 2
-        before[j] = acc
-    return succ, pred, before
+    return succ, pred
 
 
 def sort_key(d: Diagram) -> tuple:

@@ -36,7 +36,8 @@ class NotDecreasingError(RbcError):
 
 
 class InvalidRuleError(RbcError):
-    """A rewrite rule whose two sides compute different boolean functions."""
+    """A rewrite rule whose two sides compute different boolean functions,
+    or whose replacement touches a wire its pattern leaves alone."""
 
 
 class StaleMatchError(RbcError):

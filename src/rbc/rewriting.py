@@ -55,7 +55,8 @@ _Step = tuple[GateKind, int, bool, int, int, tuple[_Link, ...]]
 
 @dataclass(frozen=True)
 class Rule:
-    """``lhs`` rewrites to ``rhs``; both sides share one width."""
+    """``lhs`` rewrites to ``rhs``; both sides share one width, and
+    ``rhs`` touches only wires that ``lhs`` touches."""
 
     name: str
     lhs: Diagram
@@ -69,6 +70,13 @@ class Rule:
             )
         self.lhs.validate()
         self.rhs.validate()
+        # So that host gates unrelated to a match commute with the
+        # replacement (see ``apply_match``).
+        stray = {w for g in self.rhs.gates for w in g.support}.difference(
+            *(g.support for g in self.lhs.gates))
+        if stray:
+            raise InvalidRuleError(f"rule {self.name}: replacement touches wire "
+                                   f"{min(stray)}, which the pattern leaves alone")
 
     @property
     def width(self) -> int:
@@ -92,7 +100,7 @@ class Rule:
         import heapq  # here, so that start-up, which builds no walk, skips it
 
         gates = self.lhs.gates
-        succ, pred, _ = wire_links(self.lhs)
+        succ, pred = wire_links(self.lhs)
         walks = []
         for src in range(len(gates)):
             if max(pred[3 * src:3 * src + 3]) >= 0:
@@ -209,9 +217,9 @@ class Match:
         return self.rule.name
 
 
-# The dependency structure of one diagram, (gates, pred, before, succ):
-# the wire links both ways and the ancestor masks, from one forward pass.
-_Host = tuple[tuple[Gate, ...], list[int], list[int], list[int]]
+# The dependency structure of one diagram, (gates, pred, succ): the wire
+# links both ways, from one forward pass.
+_Host = tuple[tuple[Gate, ...], list[int], list[int]]
 
 # (diagram, its structure) for the last diagram matched or rewritten, so
 # that matching a diagram and applying matches to that same diagram build
@@ -232,8 +240,8 @@ def _host(d: Diagram) -> _Host:
     memo = _host_memo
     if memo[0] is d:
         return memo[1]
-    succ, pred, before = wire_links(d)
-    host = (d.gates, pred, before, succ)
+    succ, pred = wire_links(d)
+    host = (d.gates, pred, succ)
     _host_memo = (d, host)
     return host
 
@@ -257,40 +265,51 @@ def _start_table(rules: tuple[Rule, ...]) -> dict:
     return table
 
 
-def _pins(pred: list[int], before: list[int], c: int, smask: int) -> bool:
-    """True when some wire predecessor of gate c lies outside smask and
-    has an ancestor in smask."""
-    for p in pred[3 * c:3 * c + 3]:
-        if p >= 0 and before[p] & smask and not smask >> p & 1:
-            return True
-    return False
+def _later(succ: list[int], idx: tuple[int, ...]) -> set[int] | None:
+    """The unmatched gates below ``idx[-1]`` that must run after a gate
+    of idx (ascending indices), or None when idx is not convex.
 
-
-def _extend(host, walk, k, i0, chosen, found, ri) -> None:
-    """Follow the steps of walk after the host gates in chosen, every
-    host gate above i0, the start gate's; append each convex completion
-    to found as (window offset, rule index, ascending indices).
-
-    Convexity is checked index by index, in ascending order, from each
-    gate's wire predecessors (``_pins``): adding a gate c above every
-    index of a convex set S pins a gate if and only if some predecessor
-    p of c has p not in S and an ancestor in S.  Proof: on a path from S
-    to c through an unmatched gate, the last gate before c is a
-    predecessor of c; if it is in S, the pinned gate already sat between
-    two gates of S, otherwise it is an unmatched predecessor with an
-    ancestor in S.
+    Walks next-gate links from idx through unmatched gates below
+    ``idx[-1]``; idx is not convex exactly when a visited gate links
+    into idx, which pins it between two gates of idx.  Exact: a pinned
+    gate runs before a gate of idx, so it lies below ``idx[-1]``, and
+    indices only grow along ``succ``, so no gate above ``idx[-1]``
+    leads back into idx.
     """
-    gates, pred, before, succ = host
+    last = idx[-1]
+    later: set[int] = set()
+    todo = list(idx[:-1])
+    for i in todo:  # grows while it is read; matched gates come first
+        pinned = i in later
+        for j in succ[3 * i:3 * i + 3]:
+            if -1 < j <= last:
+                if j in idx:
+                    if pinned:
+                        return None
+                elif j not in later:
+                    later.add(j)
+                    todo.append(j)
+    return later
+
+
+def _extend(host, walk, k, within, chosen, found, ri) -> None:
+    """Follow the steps of walk after the host gates in chosen, taking
+    only host gates in within (every gate above the start gate's when
+    matching, the other gates of a match when replaying it); append
+    each completion that ``_later`` finds convex to found as (window
+    offset, rule index, ascending indices).
+    """
+    gates, pred, succ = host
     for s in range(len(chosen), len(walk)):
         kind, offset, forward, a, r, checks = walk[s]
         if a < 0:
-            for c in range(i0 + 1, len(gates)):
+            for c in within:
                 g = gates[c]
                 if g.kind is kind and g.offset == offset + k:
-                    _extend(host, walk, k, i0, chosen + (c,), found, ri)
+                    _extend(host, walk, k, within, chosen + (c,), found, ri)
             return
         c = (succ if forward else pred)[3 * chosen[a] + r]
-        if c <= i0:
+        if c not in within:
             return
         g = gates[c]
         if g.kind is not kind or g.offset != offset + k:
@@ -300,18 +319,14 @@ def _extend(host, walk, k, i0, chosen, found, ri) -> None:
                 return
         chosen += (c,)
     idx = tuple(sorted(chosen))
-    smask = 1 << i0
-    for c in idx[1:]:
-        if _pins(pred, before, c, smask):
-            return
-        smask |= 1 << c
-    found.append((k, ri, idx))
+    if _later(succ, idx) is not None:
+        found.append((k, ri, idx))
 
 
 def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> None:
     """Append to found every match whose first host gate is i0, as
     (window offset, rule index, indices)."""
-    gates, _, _, succ = host
+    gates, _, succ = host
     g0 = gates[i0]
     for ri, rw, offset0, kind1, offset1, wire1, walk in table.get(g0.kind, ()):
         k = g0.offset - offset0
@@ -326,7 +341,7 @@ def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> N
             g = gates[c]
             if g.kind is not kind1 or g.offset != offset1 + k:
                 continue
-        _extend(host, walk, k, i0, (i0,), found, ri)
+        _extend(host, walk, k, range(i0 + 1, len(gates)), (i0,), found, ri)
 
 
 def _scan(d: Diagram, rules) -> Iterator[Match]:
@@ -364,14 +379,13 @@ def first_match(d: Diagram, rules: tuple[Rule, ...] | None = None) -> Match | No
     return next(_scan(d, rules), None)
 
 
-def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
+def _validate_match(d: Diagram, m: Match) -> set[int]:
     """Check m against d: indices ascending and in range, the window,
-    and that replaying the rule's walks from the first matched gate
-    yields exactly these indices, convexity included, on the dependency
-    structure built for this exact diagram object (by whichever of
-    matching or applying reached it first).  Returns the mask of the
-    matched gates and the mask of the gates that must run before some
-    matched gate."""
+    and that replaying the rule's walks from the first matched gate,
+    through the other matched gates only, yields exactly these indices,
+    convexity included, on the dependency structure built for this
+    exact diagram object (by whichever of matching or applying reached
+    it first).  Returns ``_later`` of the indices."""
     n = len(d.gates)
     idx = tuple(m.indices)
     if list(idx) != sorted(set(idx)) or not idx or idx[0] < 0 or idx[-1] >= n:
@@ -383,40 +397,37 @@ def _validate_match(d: Diagram, m: Match) -> tuple[int, int]:
     found: list[tuple[int, int, tuple[int, ...]]] = []
     for walk in m.rule._walks:
         if walk[0][0] is g0.kind and walk[0][1] + m.offset == g0.offset:
-            _extend(host, walk, m.offset, idx[0], idx[:1], found, 0)
+            _extend(host, walk, m.offset, idx[1:], idx[:1], found, 0)
     if (m.offset, 0, idx) not in found:
         raise StaleMatchError("selected gates are not a convex occurrence of the pattern")
-    before = host[2]
-    smask = anc = 0
-    for i in idx:
-        smask |= 1 << i
-        anc |= before[i]
-    return smask, anc
+    return _later(host[2], idx)
 
 
 def apply_match(d: Diagram, m: Match) -> Diagram:
-    """Replace the matched gates by the rule's replacement.
+    """Replace the matched gates by the rule's replacement; the result
+    is canonicalized.
 
-    Unmatched gates that must run before some matched gate stay in
-    front of the replacement; everything else follows it.  No gate after
-    the last matched one runs before a matched gate, so only the gates
-    below it are sorted into front and back.  The result is
-    canonicalized.
+    Unmatched gates that must run after a matched gate (``_later``)
+    follow the replacement and all others precede it, so only the gates
+    strictly between the first and the last matched index are sorted.
+    Putting only the ancestors of the match in front, and everything
+    else behind, gives the same canonical form: a gate related to no
+    matched gate shares no wire with the pattern, nor therefore with
+    the replacement (``Rule`` checks that), so it commutes with it.
     """
-    smask, anc = _validate_match(d, m)
+    later = _validate_match(d, m)
     gates = d.gates
-    stop = m.indices[-1] + 1
+    idx = m.indices
     front: list[Gate] = []
     back: list[Gate] = []
-    for i in range(stop):
-        if smask >> i & 1:
-            continue
-        if anc >> i & 1:
-            front.append(gates[i])
-        else:
+    for i in range(idx[0] + 1, idx[-1]):
+        if i in later:
             back.append(gates[i])
+        elif i not in idx:
+            front.append(gates[i])
     middle = [g.shifted(m.offset) for g in m.rule.rhs.gates]
-    return canonicalize(Diagram(d.width, tuple(front + middle + back) + gates[stop:]))
+    return canonicalize(Diagram(d.width, gates[:idx[0]] + tuple(front + middle + back)
+                                + gates[idx[-1] + 1:]))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ matcher and normalizer are compared for exact equality with the
 pairwise-overlap implementations in ``oracles.py``.  The matcher and
 ``apply_match`` share one structure per diagram object, so the last tests
 interleave calls on several diagrams and check every result against the
-oracles on the diagram each call was given.  Convexity is checked from
-predecessor links alone; a test runs that check on every small subset of
-small circuits against the closure-based oracle.
+oracles on the diagram each call was given.  Convexity is checked by a
+walk along next-gate links from the matched gates; a test runs that
+check on every small subset of small circuits against the closure-based
+oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from rbc.errors import StaleMatchError
 from rbc.rewriting import (
     Match,
     Rule,
-    _pins,
+    _later,
     apply_match,
     builtin_rules,
     find_matches,
@@ -90,14 +91,11 @@ def _match_tuples(d, rules):
 
 @pytest.mark.parametrize("d", _large(2001, 4), ids=lambda d: f"w{d.width}")
 def test_closure_and_layers_equal_oracles_on_large_circuits(d):
-    after = dependency_closure(d)
-    assert after == oracle_dependency_closure(d)
+    assert dependency_closure(d) == oracle_dependency_closure(d)
     assert layers(d) == oracle_layers(d)
     assert canonicalize(d) == oracle_canonicalize(d)
-    succ, pred, before = wire_links(d)
+    succ, pred = wire_links(d)
     n = len(d.gates)
-    for j in range(n):
-        assert before[j] == sum(1 << i for i in range(n) if after[i] >> j & 1)
     for i, g in enumerate(d.gates):
         for r in range(3):
             w = g.offset + r
@@ -109,30 +107,29 @@ def test_closure_and_layers_equal_oracles_on_large_circuits(d):
             assert pred[3 * i + r] == want
 
 
-def _convex_by_links(pred, before, indices):
-    """The matcher's convexity check: each index, in ascending order,
-    against the set of the ones before it."""
-    smask = 0
-    for i in indices:
-        if _pins(pred, before, i, smask):
-            return False
-        smask |= 1 << i
-    return True
-
-
 def test_convexity_from_links_equals_closure_oracle_on_every_small_subset():
+    """``_later`` is None exactly on the subsets that are not convex, and
+    otherwise the oracle's descendants of the subset below its last
+    index, the subset itself left out."""
     rng = random.Random(2009)
     checked = convex = 0
     for _ in range(120):
         d = random_diagram(rng, max_width=6, max_gates=12)
         n = len(d.gates)
         reach = oracle_dependency_closure(d)
-        _, pred, before = wire_links(d)
+        succ, _ = wire_links(d)
         for size in range(1, 5):
             for indices in itertools.combinations(range(n), size):
                 smask = sum(1 << i for i in indices)
                 want = oracle_is_convex(reach, smask, n)
-                assert _convex_by_links(pred, before, indices) == want, (d, indices)
+                later = _later(succ, indices)
+                assert (later is not None) == want, (d, indices)
+                if want:
+                    desc = 0
+                    for i in indices:
+                        desc |= reach[i]
+                    assert later == {u for u in range(indices[-1])
+                                     if desc >> u & 1 and not smask >> u & 1}, (d, indices)
                 checked += 1
                 convex += want
     # both verdicts occur often
@@ -151,8 +148,10 @@ def test_canonical_form_and_layers_equal_oracles(d):
 
 def test_every_match_applies_as_the_oracle_on_seeded_circuits():
     """Every match of both catalogs, on circuits where the gates below
-    the last matched one include both ancestors of the match, which go
-    in front, and unrelated gates, which go behind the replacement."""
+    the last matched one include both descendants of the match, which go
+    behind the replacement, and unrelated gates, which go in front with
+    the ancestors.  The oracle puts unrelated gates behind; both give the
+    same canonical form."""
     rng = random.Random(2010)
     circuits = _large(2010, 2) + [random_diagram(rng, max_width=6, max_gates=25)
                                   for _ in range(300)]
@@ -163,9 +162,12 @@ def test_every_match_applies_as_the_oracle_on_seeded_circuits():
             for m in find_matches(d, rules):
                 _check_apply(d, m)
                 applied += 1
-                smask = sum(1 << i for i in m.indices)
+                smask = desc = 0
+                for i in m.indices:
+                    smask |= 1 << i
+                    desc |= reach[i]
                 unrelated_before += any(
-                    not smask >> i & 1 and not reach[i] & smask
+                    not (smask | desc) >> i & 1 and not reach[i] & smask
                     for i in range(m.indices[-1]))
     assert applied > 1000 and unrelated_before > 100
 

@@ -3,16 +3,18 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbc import cli
+from rbc import cli, rewriting
 from rbc.diagram import Diagram, canonicalize, equivalent, identity, not_, swap, t2, t3
 from rbc.errors import (
     InvalidRuleError,
     NotDecreasingError,
+    ParseError,
     StaleMatchError,
     StateLimitExceeded,
     StepLimitExceeded,
@@ -40,7 +42,7 @@ from rbc.semantics import truth_table
 from rbc.sampling import random_diagram
 
 from .oracles import oracle_matches
-from .strategies import diagrams, shuffles
+from .strategies import diagram_pairs, diagrams, gates_for, shuffles
 
 RULE_NAMES = [
     "a_not",
@@ -105,6 +107,58 @@ def test_validate_rule_rejects_non_decreasing():
         validate_rule(Rule("backwards", yb.rhs, yb.lhs))
     with pytest.raises(NotDecreasingError):
         validate_rule(Rule("same", yb.lhs, yb.lhs))
+
+
+def _wires(d: Diagram) -> set[int]:
+    return {w for g in d.gates for w in g.support}
+
+
+def test_rule_replacement_on_a_wire_the_pattern_leaves_alone_is_rejected(tmp_path, capsys):
+    with pytest.raises(InvalidRuleError, match="wire 1"):
+        Rule("stray", Diagram(2, (not_(0), not_(0))), Diagram(2, (not_(1), not_(1))))
+    a_not = rule("a_not")
+    with pytest.raises(InvalidRuleError, match="wire 0"):
+        Rule("backwards", a_not.rhs, a_not.lhs)
+    text = "rule ok\nwires 1\nnot 0\nnot 0\n=>\n\nrule stray\nwires 2\nnot 0\n=>\nnot 1\n"
+    with pytest.raises(ParseError) as e:
+        parse_rules(text)
+    assert e.value.line == 7 and "leaves alone" in e.value.message
+    rules_file = tmp_path / "stray.rules"
+    rules_file.write_text(text)
+    assert cli.main(["verify-rules", "--rules", str(rules_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def _rule_sides(draw):
+    """(lhs, rhs) of one width: two random sides, or one side and the
+    same gates with a cancelling pair (every gate is its own inverse)
+    inserted anywhere, so that both compute one function and only the
+    measure can tell them apart."""
+    lhs, rhs = draw(diagram_pairs(min_width=1, max_width=4, max_gates=5))
+    if draw(st.booleans()):
+        g = draw(gates_for(lhs.width))
+        at = draw(st.integers(0, len(lhs.gates)))
+        rhs = Diagram(lhs.width, lhs.gates[:at] + (g, g) + lhs.gates[at:])
+        if draw(st.booleans()):
+            lhs, rhs = rhs, lhs
+    return lhs, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_sides())
+def test_valid_rules_replace_only_pattern_wires(sides):
+    """The condition ``Rule`` enforces follows from ``validate_rule``'s,
+    checked here on sides ``Rule`` is not asked to accept: a wire the
+    pattern leaves alone has an empty suffix, and a replacement gate on
+    it gives it a longer one, so the measure cannot drop."""
+    lhs, rhs = sides
+    try:
+        validate_rule(SimpleNamespace(name="r", lhs=lhs, rhs=rhs))
+    except (InvalidRuleError, NotDecreasingError):
+        return
+    assert _wires(rhs) <= _wires(lhs)
 
 
 def test_find_matches_sees_through_a_spectator():
@@ -244,6 +298,26 @@ def test_wide_custom_pattern_is_matched_through_its_links(width, tmp_path, capsy
     circuit.write_text(format_circuit(host))
     assert cli.main(["normalize", str(circuit), "--rules", str(rules_file)]) == 0
     assert capsys.readouterr().out == f"wires {width}\n"
+
+
+def test_replay_tries_only_the_matched_gates(monkeypatch):
+    """Replaying a match whose pattern has wire-disjoint parts takes one
+    call per matched gate at most, not one per host gate that fits: on
+    ten back-to-back copies of ``not 0 .. not 5``, the match on the first
+    two copies."""
+    (r,) = parse_rules(_pair_rule_text(6))
+    host = Diagram(6, tuple(not_(j) for _ in range(10) for j in range(6)))
+    m = Match(r, 0, tuple(range(12)))
+    calls = []
+    extend = rewriting._extend
+
+    def counted(*args):
+        calls.append(args)
+        extend(*args)
+
+    monkeypatch.setattr(rewriting, "_extend", counted)
+    assert apply_match(host, m) == canonicalize(Diagram(6, host.gates[12:]))
+    assert 0 < len(calls) <= len(r.lhs.gates)
 
 
 def test_normalize_double_not():
