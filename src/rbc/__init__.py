@@ -7,7 +7,6 @@ from .diagram import (
     GateKind,
     Layer,
     canonicalize,
-    commute,
     compose_par,
     compose_seq,
     dependency_closure,

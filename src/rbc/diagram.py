@@ -11,9 +11,9 @@ The before/after order between gates is carried by the wires: a gate
 must run after the previous gate on each of its wires, and nothing else
 constrains it.  ``wire_links`` gives those links both ways (the next
 and the previous gate on each wire) in one forward pass that keeps one
-entry per wire, so it is linear in the number of gates.  It is the only
-pass that knows the per-wire order of dependencies, and it is all the
-rewrite engine reads.  ``dependency_closure`` (the descendants of each
+entry per wire, so it is linear in the number of gates.  The rewrite
+engine's matcher walks these links; checking and applying a match read
+the gate list alone.  ``dependency_closure`` (the descendants of each
 gate, as bitmasks) folds its next-gate links backwards and is a utility.
 ``canonicalize`` is one per-wire depth pass and one sort of the gates
 on an int key.  They expect a valid diagram, every gate inside
@@ -86,15 +86,6 @@ def t2(offset: int) -> Gate:
 
 def t3(offset: int) -> Gate:
     return Gate(GateKind.T3, offset)
-
-
-def gates_overlap(a: Gate, b: Gate) -> bool:
-    return a.offset < b.offset + b.arity and b.offset < a.offset + a.arity
-
-
-def commute(a: Gate, b: Gate) -> bool:
-    """Gates with disjoint wire windows may be reordered freely."""
-    return not gates_overlap(a, b)
 
 
 @dataclass(frozen=True)

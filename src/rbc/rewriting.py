@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .diagram import (
@@ -132,6 +132,35 @@ class Rule:
             walks.append(tuple(steps))
         return tuple(walks)
 
+    @functools.cached_property
+    def _projections(self) -> list[list[tuple[GateKind, int]]]:
+        """The pattern's ``_projections`` on its own window."""
+        return _projections(self.lhs.gates, 0, self.width)
+
+
+def _projections(gates: Iterable[Gate], offset: int,
+                 width: int) -> list[list[tuple[GateKind, int]]] | None:
+    """Per wire of the window of ``width`` wires at offset, the (kind,
+    offset in the window) of each gate touching it, in order, or None
+    when a gate leaves the window.
+
+    Two gate lists are reorderings of each other by swapping adjacent
+    disjoint gates exactly when their projections are equal: gates that
+    share no wire never meet in one projection, and gates that share one
+    keep their order in its projection (the projection lemma for traces,
+    Cori & Perrin 1985).
+    """
+    proj: list[list[tuple[GateKind, int]]] = [[] for _ in range(width)]
+    for g in gates:
+        lo = g.offset - offset
+        hi = lo + g.kind.arity
+        if lo < 0 or hi > width:
+            return None
+        letter = (g.kind, lo)
+        for w in range(lo, hi):
+            proj[w].append(letter)
+    return proj
+
 
 def validate_rule(rule: Rule) -> None:
     """Check the semantic obligations: equal truth tables and a strict
@@ -217,33 +246,9 @@ class Match:
         return self.rule.name
 
 
-# The dependency structure of one diagram, (gates, pred, succ): the wire
-# links both ways, from one forward pass.
-_Host = tuple[tuple[Gate, ...], list[int], list[int]]
-
-# (diagram, its structure) for the last diagram matched or rewritten, so
-# that matching a diagram and applying matches to that same diagram build
-# the structure once.  Keyed on identity, never on equality, and replaced
-# by one assignment, so a diagram is never paired with another diagram's
-# structure; it holds one entry, however long a reduction runs.
-_host_memo: tuple = (None, None)
-
-# (rule tuple, its start table), the same way: normalize and the search
-# pass one rule tuple to every call.
+# (rule tuple, its start table), keyed on identity and replaced by one
+# assignment: normalize and the search pass one rule tuple to every call.
 _starts_memo: tuple = (None, None)
-
-
-def _host(d: Diagram) -> _Host:
-    """The dependency structure of d, rebuilt unless d is the diagram
-    object the last one was built for."""
-    global _host_memo
-    memo = _host_memo
-    if memo[0] is d:
-        return memo[1]
-    succ, pred = wire_links(d)
-    host = (d.gates, pred, succ)
-    _host_memo = (d, host)
-    return host
 
 
 def _start_table(rules: tuple[Rule, ...]) -> dict:
@@ -265,51 +270,54 @@ def _start_table(rules: tuple[Rule, ...]) -> dict:
     return table
 
 
-def _later(succ: list[int], idx: tuple[int, ...]) -> set[int] | None:
+def _later(gates: tuple[Gate, ...], idx: tuple[int, ...]) -> set[int] | None:
     """The unmatched gates below ``idx[-1]`` that must run after a gate
     of idx (ascending indices), or None when idx is not convex.
 
-    Walks next-gate links from idx through unmatched gates below
-    ``idx[-1]``; idx is not convex exactly when a visited gate links
-    into idx, which pins it between two gates of idx.  Exact: a pinned
-    gate runs before a gate of idx, so it lies below ``idx[-1]``, and
-    indices only grow along ``succ``, so no gate above ``idx[-1]``
-    leads back into idx.
+    One scan from ``idx[0]`` to ``idx[-1]``, keeping two wire sets as
+    bitmasks: the wires reached by the future cone of the gates of idx
+    seen so far, and the wires reached by its unmatched gates.  A gate
+    on a cone wire is in the cone; a gate of idx on a wire of the second
+    kind is pinned between two gates of idx, so idx is not convex.
+    Exact: a pinned gate runs before a gate of idx, so it lies below
+    ``idx[-1]``, and the cone only grows along the scan.
     """
-    last = idx[-1]
+    cone = pinned = 0
     later: set[int] = set()
-    todo = list(idx[:-1])
-    for i in todo:  # grows while it is read; matched gates come first
-        pinned = i in later
-        for j in succ[3 * i:3 * i + 3]:
-            if -1 < j <= last:
-                if j in idx:
-                    if pinned:
-                        return None
-                elif j not in later:
-                    later.add(j)
-                    todo.append(j)
+    nxt = 0  # position in idx of the next gate of idx
+    for i in range(idx[0], idx[-1] + 1):
+        g = gates[i]
+        wires = ((1 << g.kind.arity) - 1) << g.offset
+        if i == idx[nxt]:
+            if wires & pinned:
+                return None
+            cone |= wires
+            nxt += 1
+        elif wires & cone:
+            later.add(i)
+            cone |= wires
+            pinned |= wires
     return later
 
 
-def _extend(host, walk, k, within, chosen, found, ri) -> None:
+def _extend(host, walk, k, chosen, found, ri) -> None:
     """Follow the steps of walk after the host gates in chosen, taking
-    only host gates in within (every gate above the start gate's when
-    matching, the other gates of a match when replaying it); append
-    each completion that ``_later`` finds convex to found as (window
-    offset, rule index, ascending indices).
+    only host gates above ``chosen[0]``; append each completion that
+    ``_later`` finds convex to found as (window offset, rule index,
+    ascending indices).  host is (gates, pred, succ) of ``wire_links``.
     """
     gates, pred, succ = host
+    i0 = chosen[0]
     for s in range(len(chosen), len(walk)):
         kind, offset, forward, a, r, checks = walk[s]
         if a < 0:
-            for c in within:
+            for c in range(i0 + 1, len(gates)):
                 g = gates[c]
                 if g.kind is kind and g.offset == offset + k:
-                    _extend(host, walk, k, within, chosen + (c,), found, ri)
+                    _extend(host, walk, k, chosen + (c,), found, ri)
             return
         c = (succ if forward else pred)[3 * chosen[a] + r]
-        if c not in within:
+        if c <= i0:
             return
         g = gates[c]
         if g.kind is not kind or g.offset != offset + k:
@@ -319,13 +327,13 @@ def _extend(host, walk, k, within, chosen, found, ri) -> None:
                 return
         chosen += (c,)
     idx = tuple(sorted(chosen))
-    if _later(succ, idx) is not None:
+    if _later(gates, idx) is not None:
         found.append((k, ri, idx))
 
 
-def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> None:
+def _matches_at(host: tuple, width: int, table: dict, i0: int, found: list) -> None:
     """Append to found every match whose first host gate is i0, as
-    (window offset, rule index, indices)."""
+    (window offset, rule index, indices); host is as in ``_extend``."""
     gates, _, succ = host
     g0 = gates[i0]
     for ri, rw, offset0, kind1, offset1, wire1, walk in table.get(g0.kind, ()):
@@ -341,7 +349,7 @@ def _matches_at(host: _Host, width: int, table: dict, i0: int, found: list) -> N
             g = gates[c]
             if g.kind is not kind1 or g.offset != offset1 + k:
                 continue
-        _extend(host, walk, k, range(i0 + 1, len(gates)), (i0,), found, ri)
+        _extend(host, walk, k, (i0,), found, ri)
 
 
 def _scan(d: Diagram, rules) -> Iterator[Match]:
@@ -352,7 +360,8 @@ def _scan(d: Diagram, rules) -> Iterator[Match]:
     later gates.  ``rules`` is read as a tuple of its rules at the first
     step."""
     rules = builtin_rules() if rules is None else tuple(rules)
-    host = _host(d)
+    succ, pred = wire_links(d)
+    host = (d.gates, pred, succ)
     table = _start_table(rules)
     found: list[tuple[int, int, tuple[int, ...]]] = []
     for i0 in range(len(d.gates)):
@@ -380,33 +389,32 @@ def first_match(d: Diagram, rules: tuple[Rule, ...] | None = None) -> Match | No
 
 
 def _validate_match(d: Diagram, m: Match) -> set[int]:
-    """Check m against d: indices ascending and in range, the window,
-    and that replaying the rule's walks from the first matched gate,
-    through the other matched gates only, yields exactly these indices,
-    convexity included, on the dependency structure built for this
-    exact diagram object (by whichever of matching or applying reached
-    it first).  Returns ``_later`` of the indices."""
+    """Check m against d without the matcher: indices ascending and in
+    range, the window, the matched gates' per-wire projections against
+    the pattern's (see ``_projections``), and convexity.  Returns
+    ``_later`` of the indices."""
     n = len(d.gates)
     idx = tuple(m.indices)
     if list(idx) != sorted(set(idx)) or not idx or idx[0] < 0 or idx[-1] >= n:
         raise StaleMatchError(f"gate indices {idx} not ascending within 0..{n - 1}")
     if m.offset < 0 or m.offset + m.rule.width > d.width:
         raise StaleMatchError(f"window at {m.offset} falls outside width {d.width}")
-    host = _host(d)
-    g0 = d.gates[idx[0]]
-    found: list[tuple[int, int, tuple[int, ...]]] = []
-    for walk in m.rule._walks:
-        if walk[0][0] is g0.kind and walk[0][1] + m.offset == g0.offset:
-            _extend(host, walk, m.offset, idx[1:], idx[:1], found, 0)
-    if (m.offset, 0, idx) not in found:
-        raise StaleMatchError("selected gates are not a convex occurrence of the pattern")
-    return _later(host[2], idx)
+    gates = d.gates
+    if _projections([gates[i] for i in idx], m.offset, m.rule.width) != m.rule._projections:
+        raise StaleMatchError("selected gates are not a reordering of the pattern")
+    later = _later(gates, idx)
+    if later is None:
+        raise StaleMatchError("selected gates pin an unmatched gate between two of them")
+    return later
 
 
 def apply_match(d: Diagram, m: Match) -> Diagram:
     """Replace the matched gates by the rule's replacement; the result
     is canonicalized.
 
+    m is checked first (``_validate_match``) from d's gates alone, so a
+    match found on another diagram, or built by hand, is applied only
+    when it is a convex occurrence of its pattern in d.
     Unmatched gates that must run after a matched gate (``_later``)
     follow the replacement and all others precede it, so only the gates
     strictly between the first and the last matched index are sorted.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from rbc.diagram import Diagram, Gate, GateKind, commute, gates_overlap
+from rbc.diagram import Diagram, Gate, GateKind
 from rbc.measure import gate_measure
 from rbc.moves import (
     MoveMap,
@@ -32,6 +32,15 @@ from rbc.moves import (
     word_rank,
 )
 from rbc.rewriting import Rule
+
+
+def gates_overlap(a: Gate, b: Gate) -> bool:
+    return a.offset < b.offset + b.arity and b.offset < a.offset + a.arity
+
+
+def commute(a: Gate, b: Gate) -> bool:
+    """Gates with disjoint wire windows may be reordered freely."""
+    return not gates_overlap(a, b)
 
 
 def all_index_orders(d: Diagram) -> set[tuple[int, ...]]:

@@ -3,13 +3,14 @@
 Seeded circuits here are far too large for the all-reorderings oracle
 (w16 with 120 gates, w24 with 200 gates), so the fast closure, layering,
 matcher and normalizer are compared for exact equality with the
-pairwise-overlap implementations in ``oracles.py``.  The matcher and
-``apply_match`` share one structure per diagram object, so the last tests
+pairwise-overlap implementations in ``oracles.py``.  The last tests
 interleave calls on several diagrams and check every result against the
-oracles on the diagram each call was given.  Convexity is checked by a
-walk along next-gate links from the matched gates; a test runs that
-check on every small subset of small circuits against the closure-based
-oracle.
+oracles on the diagram each call was given, so no call can lean on
+another diagram's links.  Convexity is checked by one scan of the gates
+from the first to the last matched one; a test runs that check on every
+small subset of small circuits against the closure-based oracle, and
+another applies every candidate match of small circuits, accepting
+exactly the oracle's matches.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def test_closure_and_layers_equal_oracles_on_large_circuits(d):
             assert pred[3 * i + r] == want
 
 
-def test_convexity_from_links_equals_closure_oracle_on_every_small_subset():
+def test_convexity_scan_equals_closure_oracle_on_every_small_subset():
     """``_later`` is None exactly on the subsets that are not convex, and
     otherwise the oracle's descendants of the subset below its last
     index, the subset itself left out."""
@@ -117,12 +118,11 @@ def test_convexity_from_links_equals_closure_oracle_on_every_small_subset():
         d = random_diagram(rng, max_width=6, max_gates=12)
         n = len(d.gates)
         reach = oracle_dependency_closure(d)
-        succ, _ = wire_links(d)
         for size in range(1, 5):
             for indices in itertools.combinations(range(n), size):
                 smask = sum(1 << i for i in indices)
                 want = oracle_is_convex(reach, smask, n)
-                later = _later(succ, indices)
+                later = _later(d.gates, indices)
                 assert (later is not None) == want, (d, indices)
                 if want:
                     desc = 0
@@ -134,6 +134,31 @@ def test_convexity_from_links_equals_closure_oracle_on_every_small_subset():
                 convex += want
     # both verdicts occur often
     assert checked > 10000 and 0.1 < convex / checked < 0.9
+
+
+def test_apply_match_accepts_exactly_the_oracle_matches():
+    """Every rule, window offset and ascending index tuple of the
+    pattern's length on small circuits: ``apply_match`` applies the
+    triple as the oracle does when ``oracle_find_matches`` lists it, and
+    raises StaleMatchError otherwise."""
+    rng = random.Random(2011)
+    candidates = matched = 0
+    for _ in range(150):
+        d = random_diagram(rng, max_width=5, max_gates=8)
+        for rules in (builtin_rules(), LOOSE_RULES):
+            valid = set(oracle_find_matches(d, rules))
+            for r in rules:
+                for k in range(d.width - r.width + 1):
+                    for idx in itertools.combinations(range(len(d.gates)), len(r.lhs.gates)):
+                        m = Match(r, k, idx)
+                        candidates += 1
+                        if (r.name, k, idx) in valid:
+                            _check_apply(d, m)
+                            matched += 1
+                        else:
+                            with pytest.raises(StaleMatchError):
+                                apply_match(d, m)
+    assert candidates > 30000 and matched > 150
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,6 +272,9 @@ def _check_apply(d, m):
 
 
 def test_interleaved_diagrams_never_share_a_structure():
+    """Matching and applying on several diagrams in turn, among them two
+    equal diagrams that are distinct objects and one with the same gates
+    reversed, gives each call the oracle's result on its own diagram."""
     rules = builtin_rules()
     a, b = _large(2007, 1)
     a2 = Diagram(a.width, a.gates)
@@ -268,15 +296,15 @@ def test_interleaved_diagrams_never_share_a_structure():
 
 def test_match_applied_to_another_diagram_is_rechecked():
     """Indices that spell the pattern on another diagram of the same
-    width and length, but pin a gate there, are still rejected after
-    the first diagram's structure was built."""
+    width and length, but pin a gate there, are rejected, whichever
+    diagram was matched last."""
     found_on = Diagram(3, (swap(0), not_(2), swap(0)))
     pinned = Diagram(3, (swap(0), not_(1), swap(0)))
     m = next(m for m in find_matches(found_on) if m.rule_name == "p_swap2")
     assert m.indices == (0, 2)
     with pytest.raises(StaleMatchError):
         apply_match(pinned, m)
-    first_match(pinned)  # now the structure of pinned has been built
+    first_match(pinned)  # now pinned is the diagram matched last
     with pytest.raises(StaleMatchError):
         apply_match(pinned, m)
     _check_apply(found_on, m)

@@ -14,7 +14,6 @@ from rbc.diagram import (
     Diagram,
     GateKind,
     canonicalize,
-    commute,
     compose_par,
     compose_seq,
     dependency_closure,
@@ -28,7 +27,7 @@ from rbc.diagram import (
 )
 from rbc.errors import OutOfRangeError, WidthMismatchError
 
-from .oracles import dependency_edges, oracle_equivalent, oracle_must_precede
+from .oracles import commute, dependency_edges, oracle_equivalent, oracle_must_precede
 from .strategies import diagram_pairs, diagrams, diagrams_of, shuffles
 
 
